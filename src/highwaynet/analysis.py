@@ -39,7 +39,7 @@ def gate_report(net: Network, samples: Dataset, probe_index: int = 0,
     min(max_samples, len(samples)) examples.  The probe sample additionally
     contributes its per-layer gate trace and block outputs.
     """
-    if not net.body or not isinstance(net.body[0], HighwayLayer):
+    if net.body_kind != HighwayLayer.KIND:
         raise AnalysisError(
             f"gate analysis needs a dense gated body, network has {net.body_kind!r}"
         )
@@ -57,23 +57,16 @@ def gate_report(net: Network, samples: Dataset, probe_index: int = 0,
     capped = Dataset(flat.inputs[:used], flat.labels[:used], flat.num_classes, flat.name)
     for xb, _ in batches(capped, batch_size):
         _, caches = net.forward_caches(xb)
-        for row, (name, layer, cache) in enumerate(c for c in caches if c[0] != "input"):
+        for row, (_, _, cache) in enumerate(c for c in caches if c[0] != "input"):
             sums[row] += cache["t"].sum(axis=0)
         seen += xb.shape[0]
     mean_activity = sums / seen
 
-    probe = flat.inputs[probe_index:probe_index + 1]
-    y, caches = net.forward_caches(probe)
-    body_caches = [c for c in caches if c[0] != "input"]
-    sample_trace = np.stack([cache["t"][0] for _, _, cache in body_caches])
-    outputs = []
-    cursor = probe
-    if net.input_layer is not None:
-        cursor, _ = net.input_layer.forward(cursor)
-    for layer in net.body:
-        cursor, _ = layer.forward(cursor)
-        outputs.append(cursor[0].copy())
-    block_outputs = np.stack(outputs)
+    # Block i's output is block i+1's input; the last block's is the result.
+    y, caches = net.forward_caches(flat.inputs[probe_index:probe_index + 1])
+    body_caches = [cache for name, _, cache in caches if name != "input"]
+    sample_trace = np.stack([cache["t"][0] for cache in body_caches])
+    block_outputs = np.stack([cache["x"][0] for cache in body_caches[1:]] + [y[0]])
 
     bias_map = np.stack([layer.b_T.copy() for layer in net.body])
     return GateReport(bias_map, mean_activity, sample_trace, block_outputs, seen)

@@ -16,7 +16,10 @@ The header records the architecture and, per parameter, its name and shape:
    "has_input_layer": bool,
    "params": [{"name": "input.W_H", "shape": [50, 784]}, ...]}
 
-Loading rebuilds the network and restores parameters bit-identically.
+Loading rebuilds the network and restores parameters bit-identically.  The
+body layer class is BODY_KINDS[body_kind], and the stored names must be
+exactly the layer classes' PARAMS in order; any other header raises
+CheckpointError.
 """
 
 from __future__ import annotations
@@ -26,9 +29,11 @@ import struct
 
 import numpy as np
 
-from .layers import ConvHighwayLayer, HighwayLayer, Network, PlainLayer, SoftmaxHead
+from .layers import BODY_KINDS, Network, PlainLayer, SoftmaxHead
+from .ops import ACTIVATIONS
 
 MAGIC = b"HWNETCK1"
+HEADER_KEYS = ("body_kind", "activation", "has_input_layer", "params")
 
 
 class CheckpointError(ValueError):
@@ -54,13 +59,25 @@ def save_checkpoint(net: Network, path) -> None:
             f.write(np.ascontiguousarray(p, dtype="<f8").tobytes())
 
 
-def _group_params(entries):
-    """Group header entries by layer prefix, preserving order."""
-    groups: dict[str, dict[str, list]] = {}
-    for e in entries:
-        prefix, field = e["name"].rsplit(".", 1)
-        groups.setdefault(prefix, {})[field] = e["shape"]
-    return groups
+def _layout(header: dict, path) -> list:
+    """(prefix, layer class) for every layer the header describes, in
+    parameter order; the stored names must be exactly the classes' PARAMS."""
+    missing = [key for key in HEADER_KEYS if key not in header]
+    if missing:
+        raise CheckpointError(f"checkpoint header in {path} lacks {', '.join(missing)}")
+    if header["body_kind"] not in BODY_KINDS:
+        raise CheckpointError(f"unknown body kind {header['body_kind']!r} in {path}")
+    if header["activation"] not in ACTIVATIONS:
+        raise CheckpointError(f"unknown activation {header['activation']!r} in {path}")
+    body_cls = BODY_KINDS[header["body_kind"]]
+    names = [entry.get("name", "") for entry in header["params"]]
+    depth = sum(name.startswith("body.") for name in names) // len(body_cls.PARAMS)
+    layout = ([("input", PlainLayer)] if header["has_input_layer"] else []) + [
+        (f"body.{i}", body_cls) for i in range(depth)] + [("head", SoftmaxHead)]
+    if names != [f"{prefix}.{n}" for prefix, cls in layout for n in cls.PARAMS]:
+        raise CheckpointError(
+            f"parameter names in {path} do not fit a {header['body_kind']!r} network")
+    return layout
 
 
 def load_checkpoint(path) -> Network:
@@ -77,6 +94,7 @@ def load_checkpoint(path) -> Network:
         raise CheckpointError(f"unreadable checkpoint header in {path}: {exc}") from exc
     if header.get("format") != 1:
         raise CheckpointError(f"unsupported checkpoint format {header.get('format')!r}")
+    layout = _layout(header, path)
 
     offset = 12 + header_len
     arrays = {}
@@ -92,21 +110,10 @@ def load_checkpoint(path) -> Network:
     if offset != len(raw):
         raise CheckpointError(f"{len(raw) - offset} trailing bytes in {path}")
 
-    activation = header["activation"]
-    groups = _group_params(header["params"])
+    def build(prefix, cls):
+        params = (arrays[f"{prefix}.{n}"] for n in cls.PARAMS)
+        return SoftmaxHead(*params) if cls is SoftmaxHead else cls(*params, header["activation"])
 
-    def build(prefix):
-        fields = groups[prefix]
-        get = lambda f: arrays[f"{prefix}.{f}"]
-        if "W" in fields:
-            return SoftmaxHead(get("W"), get("b"))
-        if "K_H" in fields:
-            return ConvHighwayLayer(get("K_H"), get("b_H"), get("K_T"), get("b_T"), activation)
-        if "W_T" in fields:
-            return HighwayLayer(get("W_H"), get("b_H"), get("W_T"), get("b_T"), activation)
-        return PlainLayer(get("W_H"), get("b_H"), activation)
-
-    input_layer = build("input") if header["has_input_layer"] else None
-    body = [build(f"body.{i}") for i in range(sum(1 for g in groups if g.startswith("body.")))]
-    head = build("head")
-    return Network(input_layer, body, head)
+    layers = [build(prefix, cls) for prefix, cls in layout]
+    input_layer = layers.pop(0) if header["has_input_layer"] else None
+    return Network(input_layer, layers[:-1], layers[-1])

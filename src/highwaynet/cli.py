@@ -21,7 +21,6 @@ from . import __version__
 from .analysis import AnalysisError, bias_activity_correlation, export_report, gate_report, gate_sparsity
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import Dataset, FormatError, load_cifar_binary, load_idx, subset, synthetic_digits
-from .init import InitScheme, build_network, init_network
 from .ops import Rng, derive_seed
 from .optim import SgdConfig, train
 from .search import NetworkTemplate, SearchSpace, run_search, write_search_csv
@@ -148,16 +147,10 @@ def cmd_train(cfg: dict) -> int:
     os.makedirs(out_dir, exist_ok=True)
     template = _template(cfg)
     ds = _shape_for_arch(load_dataset(cfg, seed), template)
-    arch = cfg["arch"]
     sgd_cfg = _require(cfg, "sgd", "optimizer settings")
-    init_cfg = cfg.get("init", {})
-
-    net = build_network(template.kind, template.depth, template.width,
-                        ds.features, ds.num_classes, arch.get("activation", "relu"),
-                        image_shape=template.image_shape, kernel_size=template.kernel_size)
-    init_network(net, InitScheme(init_cfg.get("kind", "he"),
-                                 init_cfg.get("gate_bias", -2.0),
-                                 derive_seed(seed, 1)))
+    net = replace(template, in_features=ds.features, classes=ds.num_classes).build(
+        cfg["arch"].get("activation", "relu"), cfg.get("init", {}).get("gate_bias"),
+        derive_seed(seed, 1))
     config = SgdConfig(**sgd_cfg)
     _, log = train(net, ds, config, Rng(derive_seed(seed, 2)))
 
@@ -204,9 +197,8 @@ def cmd_sweep(cfg: dict, jobs: int = 1) -> int:
     rows = []
     for kind in kinds:
         for depth in depths:
-            template = NetworkTemplate(kind, depth, base.width, ds.features,
-                                       ds.num_classes, base.init_kind,
-                                       base.image_shape, base.kernel_size)
+            template = replace(base, kind=kind, depth=depth, in_features=ds.features,
+                               classes=ds.num_classes)
             results = run_search(space, template, ds, derive_seed(seed, depth), jobs=jobs)
             write_search_csv(results, os.path.join(out_dir, f"search_{kind}_{depth}.csv"))
             best = results[0]
@@ -261,7 +253,8 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--data-dir", default=None)
-        p.add_argument("--jobs", type=int, default=1)
+        if name != "train":
+            p.add_argument("--jobs", type=int, default=1)
     p = sub.add_parser("analyze")
     p.add_argument("--config", required=True)
     p.add_argument("--checkpoint", required=True)

@@ -63,29 +63,19 @@ def init_weights(shape, kind: str, rng: Rng) -> np.ndarray:
 def init_network(net: Network, scheme: InitScheme) -> Network:
     """Fill every parameter of the network in place and return it.
 
-    All weight matrices/kernels follow scheme.kind (the gate weights get
-    the same treatment as the transform weights); plain biases and the head
-    bias start at zero; every gate bias starts at scheme.gate_bias.
+    Parameters are visited in net.parameters() order.  Every weight
+    matrix/kernel follows scheme.kind (the gate weights get the same
+    treatment as the transform weights); every gate bias (b_T) starts at
+    scheme.gate_bias; all other biases start at zero.
     """
     rng = Rng(scheme.rng_seed)
-    layers = ([net.input_layer] if net.input_layer is not None else []) + list(net.body) + [net.head]
-    for layer in layers:
-        if isinstance(layer, PlainLayer):
-            layer.W_H[...] = init_weights(layer.W_H.shape, scheme.kind, rng)
-            layer.b_H[...] = 0.0
-        elif isinstance(layer, HighwayLayer):
-            layer.W_H[...] = init_weights(layer.W_H.shape, scheme.kind, rng)
-            layer.b_H[...] = 0.0
-            layer.W_T[...] = init_weights(layer.W_T.shape, scheme.kind, rng)
-            layer.b_T[...] = scheme.gate_bias
-        elif isinstance(layer, ConvHighwayLayer):
-            layer.K_H[...] = init_weights(layer.K_H.shape, scheme.kind, rng)
-            layer.b_H[...] = 0.0
-            layer.K_T[...] = init_weights(layer.K_T.shape, scheme.kind, rng)
-            layer.b_T[...] = scheme.gate_bias
-        elif isinstance(layer, SoftmaxHead):
-            layer.W[...] = init_weights(layer.W.shape, scheme.kind, rng)
-            layer.b[...] = 0.0
+    for name, param in net.parameters():
+        if param.ndim > 1:
+            param[...] = init_weights(param.shape, scheme.kind, rng)
+        elif name.endswith(".b_T"):
+            param[...] = scheme.gate_bias
+        else:
+            param[...] = 0.0
     return net
 
 
@@ -113,30 +103,17 @@ def build_network(
         if width < 1:
             raise ValueError(f"width must be >= 1, got {width}")
         input_layer = PlainLayer(np.zeros((width, in_features)), np.zeros(width), activation)
-        body = []
-        for _ in range(depth - 1):
-            if kind == "plain":
-                body.append(PlainLayer(np.zeros((width, width)), np.zeros(width), activation))
-            else:
-                body.append(
-                    HighwayLayer(
-                        np.zeros((width, width)), np.zeros(width),
-                        np.zeros((width, width)), np.zeros(width), activation,
-                    )
-                )
+        square = lambda: (np.zeros((width, width)), np.zeros(width))
+        body = [PlainLayer(*square(), activation) if kind == "plain"
+                else HighwayLayer(*square(), *square(), activation) for _ in range(depth - 1)]
         head = SoftmaxHead(np.zeros((classes, width)), np.zeros(classes))
         return Network(input_layer, body, head)
     if kind == "conv-highway":
         if image_shape is None:
             raise ValueError("conv-highway networks need image_shape=(c, h, w)")
         c, h, w = image_shape
-        body = [
-            ConvHighwayLayer(
-                np.zeros((c, c, kernel_size, kernel_size)), np.zeros(c),
-                np.zeros((c, c, kernel_size, kernel_size)), np.zeros(c), activation,
-            )
-            for _ in range(depth)
-        ]
+        kernel = lambda: (np.zeros((c, c, kernel_size, kernel_size)), np.zeros(c))
+        body = [ConvHighwayLayer(*kernel(), *kernel(), activation) for _ in range(depth)]
         head = SoftmaxHead(np.zeros((classes, c * h * w)), np.zeros(classes))
         return Network(None, body, head)
     raise ValueError(f"unknown network kind: {kind!r}")

@@ -33,27 +33,53 @@ def block_combine(h: np.ndarray, t: np.ndarray, x: np.ndarray) -> np.ndarray:
     return h * t + x * (1.0 - t)
 
 
-class PlainLayer:
-    """Conventional affine + activation layer: y = phi(x W_H^T + b_H)."""
+class _Layer:
+    """Parameter plumbing shared by every layer.
 
-    def __init__(self, W_H: np.ndarray, b_H: np.ndarray, activation: str = "relu"):
-        W_H = np.asarray(W_H, dtype=np.float64)
-        b_H = np.asarray(b_H, dtype=np.float64)
-        if W_H.ndim != 2 or b_H.ndim != 1 or b_H.shape[0] != W_H.shape[0]:
-            raise ShapeError(f"plain layer shapes disagree: W_H {W_H.shape}, b_H {b_H.shape}")
-        if activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation kind: {activation!r}")
-        self.W_H = W_H
-        self.b_H = b_H
-        self.activation = activation
+    Each layer class lists its parameter names once, in order, in PARAMS;
+    parameters(), gradient dicts, init and checkpoints all read that tuple.
+    """
 
+    PARAMS: tuple[str, ...] = ()
+
+    def _store(self, arrays, activation=None) -> list:
+        """Keep each tensor as float64 under its PARAMS name and return them;
+        a layer with an activation also checks and keeps its kind."""
+        if activation is not None:
+            if activation not in ACTIVATIONS:
+                raise ValueError(f"unknown activation kind: {activation!r}")
+            self.activation = activation
+        arrays = [np.asarray(value, dtype=np.float64) for value in arrays]
+        for name, value in zip(self.PARAMS, arrays):
+            setattr(self, name, value)
+        return arrays
+
+    def _grads(self, *arrays) -> dict:
+        return dict(zip(self.PARAMS, arrays))
+
+    def parameters(self):
+        return [(name, getattr(self, name)) for name in self.PARAMS]
+
+    # The first tensor is the [out, in] weight ([c_out, c_in, k, k] for conv).
     @property
     def in_width(self) -> int:
-        return self.W_H.shape[1]
+        return getattr(self, self.PARAMS[0]).shape[1]
 
     @property
     def out_width(self) -> int:
-        return self.W_H.shape[0]
+        return getattr(self, self.PARAMS[0]).shape[0]
+
+
+class PlainLayer(_Layer):
+    """Conventional affine + activation layer: y = phi(x W_H^T + b_H)."""
+
+    KIND = "plain"
+    PARAMS = ("W_H", "b_H")
+
+    def __init__(self, W_H: np.ndarray, b_H: np.ndarray, activation: str = "relu"):
+        W_H, b_H = self._store((W_H, b_H), activation)
+        if W_H.ndim != 2 or b_H.ndim != 1 or b_H.shape[0] != W_H.shape[0]:
+            raise ShapeError(f"plain layer shapes disagree: W_H {W_H.shape}, b_H {b_H.shape}")
 
     def forward(self, x: np.ndarray):
         a = matmul(x, self.W_H.T) + self.b_H
@@ -65,26 +91,58 @@ class PlainLayer:
         if dL_dy.shape != a.shape:
             raise ShapeError(f"upstream gradient {dL_dy.shape} does not match cache {a.shape}")
         da = dL_dy * activation_derivative(a, self.activation)
-        grads = {"W_H": matmul(da.T, x), "b_H": da.sum(axis=0)}
         dL_dx = matmul(da, self.W_H)
-        return dL_dx, grads
-
-    def parameters(self):
-        return [("W_H", self.W_H), ("b_H", self.b_H)]
+        return dL_dx, self._grads(matmul(da.T, x), da.sum(axis=0))
 
 
-class HighwayLayer:
+class _GateCore(_Layer):
+    """The gate shared by the dense and conv gated layers.
+
+    Forward, with a = H-map(x) + b_H and s = T-map(x) + b_T supplied by the
+    layer (a dense product or a same-padded convolution):
+
+      h = phi(a)    t = sigmoid(s)    y = h*t + x*(1-t)
+
+    Backward, with g = dL/dy (all products elementwise):
+
+      dL/dh = g*t            dL/da = dL/dh * phi'(a)
+      dL/dt = g*(h - x)      dL/ds = dL/dt * t*(1-t)
+      dL/dx = adj_H(dL/da) + adj_T(dL/ds) + g*(1-t)
+
+    The (h - x) factor and the direct g*(1-t) carry term both come from
+    differentiating y = h*t + x*(1-t) with C coupled to 1-T.  adj_H and
+    adj_T are the adjoints of the layer's linear maps; the layer also turns
+    dL/da and dL/ds into its weight and bias gradients.
+    """
+
+    def _gate_forward(self, x: np.ndarray, a: np.ndarray, s: np.ndarray):
+        h = apply_activation(a, self.activation)
+        t = sigmoid(s)
+        y = block_combine(h, t, x)
+        return y, {"x": x, "a": a, "s": s, "h": h, "t": t}
+
+    def _gate_backward(self, cache: dict, dL_dy: np.ndarray):
+        """Returns (x, dL/da, dL/ds, carry term g*(1-t))."""
+        x, a, h, t = cache["x"], cache["a"], cache["h"], cache["t"]
+        if dL_dy.shape != x.shape:
+            raise ShapeError(f"upstream gradient {dL_dy.shape} does not match cache {x.shape}")
+        da = dL_dy * t * activation_derivative(a, self.activation)
+        ds = dL_dy * (h - x) * t * (1.0 - t)
+        return x, da, ds, dL_dy * (1.0 - t)
+
+
+class HighwayLayer(_GateCore):
     """Gated layer: y = H(x)*T(x) + x*(1-T(x)) with T = sigmoid(x W_T^T + b_T).
 
     Input and output width must agree (the carry path is the identity), so
     all four parameter tensors share one width n.
     """
 
+    KIND = "highway"
+    PARAMS = ("W_H", "b_H", "W_T", "b_T")
+
     def __init__(self, W_H, b_H, W_T, b_T, activation: str = "relu"):
-        W_H = np.asarray(W_H, dtype=np.float64)
-        b_H = np.asarray(b_H, dtype=np.float64)
-        W_T = np.asarray(W_T, dtype=np.float64)
-        b_T = np.asarray(b_T, dtype=np.float64)
+        W_H, b_H, W_T, b_T = self._store((W_H, b_H, W_T, b_T), activation)
         n = W_H.shape[0] if W_H.ndim == 2 else -1
         if any(w.shape != (n, n) for w in (W_H, W_T)) or any(
             b.shape != (n,) for b in (b_H, b_T)
@@ -93,56 +151,18 @@ class HighwayLayer:
                 "highway layer needs square weights and matching biases of one width, got "
                 f"W_H {W_H.shape}, b_H {b_H.shape}, W_T {W_T.shape}, b_T {b_T.shape}"
             )
-        if activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation kind: {activation!r}")
-        self.W_H = W_H
-        self.b_H = b_H
-        self.W_T = W_T
-        self.b_T = b_T
-        self.activation = activation
-
-    @property
-    def in_width(self) -> int:
-        return self.W_H.shape[1]
-
-    @property
-    def out_width(self) -> int:
-        return self.W_H.shape[0]
 
     def forward(self, x: np.ndarray):
         a = matmul(x, self.W_H.T) + self.b_H
-        h = apply_activation(a, self.activation)
         s = matmul(x, self.W_T.T) + self.b_T
-        t = sigmoid(s)
-        y = block_combine(h, t, x)
-        return y, {"x": x, "a": a, "s": s, "h": h, "t": t}
+        return self._gate_forward(x, a, s)
 
     def backward(self, cache: dict, dL_dy: np.ndarray):
-        """Chain rule through the coupled gate.
-
-        With g = dL/dy:
-          dL/dh = g*t            dL/da = dL/dh * phi'(a)
-          dL/dt = g*(h - x)      dL/ds = dL/dt * t*(1-t)
-          dL/dx = dL/da W_H + dL/ds W_T + g*(1-t)
-        The (h - x) factor and the direct g*(1-t) carry term both come from
-        differentiating y = h*t + x*(1-t) with C coupled to 1-T.
-        """
-        x, a, h, t = cache["x"], cache["a"], cache["h"], cache["t"]
-        if dL_dy.shape != x.shape:
-            raise ShapeError(f"upstream gradient {dL_dy.shape} does not match cache {x.shape}")
-        da = dL_dy * t * activation_derivative(a, self.activation)
-        ds = dL_dy * (h - x) * t * (1.0 - t)
-        grads = {
-            "W_H": matmul(da.T, x),
-            "b_H": da.sum(axis=0),
-            "W_T": matmul(ds.T, x),
-            "b_T": ds.sum(axis=0),
-        }
-        dL_dx = matmul(da, self.W_H) + matmul(ds, self.W_T) + dL_dy * (1.0 - t)
+        """The gate core's chain rule with dense adjoints: adj(d) = d W."""
+        x, da, ds, carry = self._gate_backward(cache, dL_dy)
+        grads = self._grads(matmul(da.T, x), da.sum(axis=0), matmul(ds.T, x), ds.sum(axis=0))
+        dL_dx = matmul(da, self.W_H) + matmul(ds, self.W_T) + carry
         return dL_dx, grads
-
-    def parameters(self):
-        return [("W_H", self.W_H), ("b_H", self.b_H), ("W_T", self.W_T), ("b_T", self.b_T)]
 
 
 def _pad2d(x: np.ndarray, p: int) -> np.ndarray:
@@ -167,7 +187,7 @@ def _corr2d(x: np.ndarray, kernels: np.ndarray, pad: int) -> np.ndarray:
     return out.reshape(batch, height, width, c_out).transpose(0, 3, 1, 2)
 
 
-class ConvHighwayLayer:
+class ConvHighwayLayer(_GateCore):
     """Convolutional gated layer; gates per pixel per channel.
 
     Both the transform and the gate are stride-1 convolutions with zero
@@ -175,11 +195,11 @@ class ConvHighwayLayer:
     spatial size; the carry path is again the identity.
     """
 
+    KIND = "conv-highway"
+    PARAMS = ("K_H", "b_H", "K_T", "b_T")
+
     def __init__(self, K_H, b_H, K_T, b_T, activation: str = "relu"):
-        K_H = np.asarray(K_H, dtype=np.float64)
-        b_H = np.asarray(b_H, dtype=np.float64)
-        K_T = np.asarray(K_T, dtype=np.float64)
-        b_T = np.asarray(b_T, dtype=np.float64)
+        K_H, b_H, K_T, b_T = self._store((K_H, b_H, K_T, b_T), activation)
         if K_H.ndim != 4 or K_H.shape[0] != K_H.shape[1] or K_H.shape[2] != K_H.shape[3]:
             raise ShapeError(f"conv kernels must be [c, c, k, k], got {K_H.shape}")
         c, _, k, _ = K_H.shape
@@ -190,13 +210,6 @@ class ConvHighwayLayer:
                 f"conv highway shapes disagree: K_H {K_H.shape}, b_H {b_H.shape}, "
                 f"K_T {K_T.shape}, b_T {b_T.shape}"
             )
-        if activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation kind: {activation!r}")
-        self.K_H = K_H
-        self.b_H = b_H
-        self.K_T = K_T
-        self.b_T = b_T
-        self.activation = activation
 
     @property
     def channels(self) -> int:
@@ -215,63 +228,46 @@ class ConvHighwayLayer:
             raise ShapeError(
                 f"conv highway expects [batch, {self.channels}, h, w] input, got {x.shape}"
             )
-        bias_h = self.b_H[None, :, None, None]
-        bias_t = self.b_T[None, :, None, None]
-        a = _corr2d(x, self.K_H, self.padding) + bias_h
-        h = apply_activation(a, self.activation)
-        s = _corr2d(x, self.K_T, self.padding) + bias_t
-        t = sigmoid(s)
-        y = block_combine(h, t, x)
-        return y, {"x": x, "a": a, "s": s, "h": h, "t": t}
+        a = _corr2d(x, self.K_H, self.padding) + self.b_H[None, :, None, None]
+        s = _corr2d(x, self.K_T, self.padding) + self.b_T[None, :, None, None]
+        return self._gate_forward(x, a, s)
 
     def backward(self, cache: dict, dL_dy: np.ndarray):
-        """Same chain rule as the dense gated layer, with conv adjoints.
+        """The gate core's chain rule with conv adjoints.
 
         The adjoint of a same-padded stride-1 cross-correlation is another
         same-padded cross-correlation with the kernels flipped in both
         spatial dims and transposed across channels.
         """
-        x, a, h, t = cache["x"], cache["a"], cache["h"], cache["t"]
-        if dL_dy.shape != x.shape:
-            raise ShapeError(f"upstream gradient {dL_dy.shape} does not match cache {x.shape}")
+        x, da, ds, carry = self._gate_backward(cache, dL_dy)
         k, p = self.kernel_size, self.padding
-        da = dL_dy * t * activation_derivative(a, self.activation)
-        ds = dL_dy * (h - x) * t * (1.0 - t)
-
         win = np.lib.stride_tricks.sliding_window_view(_pad2d(x, p), (k, k), axis=(2, 3))
-        grads = {
-            "K_H": np.einsum("boij,bcijuv->ocuv", da, win),
-            "b_H": da.sum(axis=(0, 2, 3)),
-            "K_T": np.einsum("boij,bcijuv->ocuv", ds, win),
-            "b_T": ds.sum(axis=(0, 2, 3)),
-        }
+        grads = self._grads(
+            np.einsum("boij,bcijuv->ocuv", da, win), da.sum(axis=(0, 2, 3)),
+            np.einsum("boij,bcijuv->ocuv", ds, win), ds.sum(axis=(0, 2, 3)),
+        )
         adj_h = np.flip(self.K_H, axis=(2, 3)).transpose(1, 0, 2, 3)
         adj_t = np.flip(self.K_T, axis=(2, 3)).transpose(1, 0, 2, 3)
-        dL_dx = _corr2d(da, adj_h, p) + _corr2d(ds, adj_t, p) + dL_dy * (1.0 - t)
+        dL_dx = _corr2d(da, adj_h, p) + _corr2d(ds, adj_t, p) + carry
         return dL_dx, grads
 
-    def parameters(self):
-        return [("K_H", self.K_H), ("b_H", self.b_H), ("K_T", self.K_T), ("b_T", self.b_T)]
+
+BODY_KINDS = {cls.KIND: cls for cls in (PlainLayer, HighwayLayer, ConvHighwayLayer)}
 
 
-class SoftmaxHead:
+class SoftmaxHead(_Layer):
     """Affine layer fused with softmax and mean cross-entropy."""
 
+    PARAMS = ("W", "b")
+
     def __init__(self, W: np.ndarray, b: np.ndarray):
-        W = np.asarray(W, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
+        W, b = self._store((W, b))
         if W.ndim != 2 or b.shape != (W.shape[0],):
             raise ShapeError(f"softmax head shapes disagree: W {W.shape}, b {b.shape}")
-        self.W = W
-        self.b = b
-
-    @property
-    def in_width(self) -> int:
-        return self.W.shape[1]
 
     @property
     def classes(self) -> int:
-        return self.W.shape[0]
+        return self.out_width
 
     def probabilities(self, x: np.ndarray) -> np.ndarray:
         z = matmul(x, self.W.T) + self.b
@@ -304,12 +300,9 @@ class SoftmaxHead:
         dz = probs.copy()
         dz[np.arange(batch), labels] -= 1.0
         dz /= batch
-        grads = {"W": matmul(dz.T, x), "b": dz.sum(axis=0)}
+        grads = self._grads(matmul(dz.T, x), dz.sum(axis=0))
         dL_dx = matmul(dz, self.W)
         return loss, probs, dL_dx, grads
-
-    def parameters(self):
-        return [("W", self.W), ("b", self.b)]
 
 
 class Network:
@@ -330,7 +323,10 @@ class Network:
         if len(kinds) > 1:
             raise ShapeError("network body must be homogeneous, got " +
                              ", ".join(sorted(k.__name__ for k in kinds)))
-        if body and isinstance(body[0], ConvHighwayLayer):
+        self.input_layer = input_layer
+        self.body = body
+        self.head = head
+        if self.is_conv:
             if input_layer is not None:
                 raise ShapeError("convolutional body takes raw images; no input layer allowed")
             channels = {layer.channels for layer in body}
@@ -348,23 +344,15 @@ class Network:
                     )
             if head.in_width != width:
                 raise ShapeError(f"head expects width {width}, has {head.in_width}")
-        self.input_layer = input_layer
-        self.body = body
-        self.head = head
 
     @property
     def is_conv(self) -> bool:
-        return bool(self.body) and isinstance(self.body[0], ConvHighwayLayer)
+        return self.body_kind == ConvHighwayLayer.KIND
 
     @property
     def body_kind(self) -> str:
-        if not self.body:
-            return "plain"
-        return {
-            PlainLayer: "plain",
-            HighwayLayer: "highway",
-            ConvHighwayLayer: "conv-highway",
-        }[type(self.body[0])]
+        """The body's key in BODY_KINDS; an empty body counts as plain."""
+        return self.body[0].KIND if self.body else PlainLayer.KIND
 
     def _flatten(self, y: np.ndarray) -> np.ndarray:
         return y.reshape(y.shape[0], -1) if self.is_conv else y
@@ -387,13 +375,10 @@ class Network:
 
     def parameters(self):
         """All parameter tensors as (name, array), in forward order."""
-        out = []
-        if self.input_layer is not None:
-            out += [(f"input.{n}", p) for n, p in self.input_layer.parameters()]
-        for i, layer in enumerate(self.body):
-            out += [(f"body.{i}.{n}", p) for n, p in layer.parameters()]
-        out += [(f"head.{n}", p) for n, p in self.head.parameters()]
-        return out
+        layers = [("input", self.input_layer)] if self.input_layer is not None else []
+        layers += [(f"body.{i}", layer) for i, layer in enumerate(self.body)]
+        layers.append(("head", self.head))
+        return [(f"{prefix}.{n}", p) for prefix, layer in layers for n, p in layer.parameters()]
 
 
 def network_forward_backward(net: Network, x_batch: np.ndarray, labels: np.ndarray):

@@ -86,12 +86,13 @@ class NetworkTemplate:
     image_shape: tuple | None = None
     kernel_size: int = 3
 
-    def build(self, config: TrainConfig, init_seed: int):
+    def build(self, activation: str, gate_bias: float | None, init_seed: int):
+        """A freshly initialized network; gate_bias None takes InitScheme's default."""
         net = build_network(self.kind, self.depth, self.width, self.in_features,
-                            self.classes, config.activation,
+                            self.classes, activation,
                             image_shape=self.image_shape, kernel_size=self.kernel_size)
-        gate_bias = config.gate_bias if config.gate_bias is not None else -2.0
-        return init_network(net, InitScheme(self.init_kind, gate_bias, init_seed))
+        bias = {} if gate_bias is None else {"gate_bias": gate_bias}
+        return init_network(net, InitScheme(self.init_kind, rng_seed=init_seed, **bias))
 
 
 def sample_config(space: SearchSpace, rng: Rng) -> TrainConfig:
@@ -109,7 +110,7 @@ def sample_config(space: SearchSpace, rng: Rng) -> TrainConfig:
 def run_trial(template: NetworkTemplate, dataset: Dataset, config: TrainConfig,
               seed: int, trial: int = 0) -> TrialResult:
     """Train one sampled configuration; reproducible from (config, seed)."""
-    net = template.build(config, derive_seed(seed, 1))
+    net = template.build(config.activation, config.gate_bias, derive_seed(seed, 1))
     _, log = train(net, dataset, config.sgd(), Rng(derive_seed(seed, 2)))
     status = "diverged" if log.diverged else "ok"
     return TrialResult(trial, config, seed, status, log.best_loss(), log.final_loss(), log)

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,28 @@ from highwaynet.layers import count_parameters
 def make_net(kind="highway", seed=1):
     net = build_network(kind, 4, 6, 5, 3, "tanh")
     return init_network(net, InitScheme("he", -3.0, seed))
+
+
+def rewrite_header(path, edit):
+    """Apply edit(header) to a saved checkpoint's JSON header in place."""
+    raw = path.read_bytes()
+    (n,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12:12 + n])
+    edit(header)
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + n:])
+
+
+BAD_HEADERS = {
+    "missing-activation": lambda h: h.pop("activation"),
+    "missing-params": lambda h: h.pop("params"),
+    "missing-has_input_layer": lambda h: h.pop("has_input_layer"),
+    "missing-body_kind": lambda h: h.pop("body_kind"),
+    "unknown-body_kind": lambda h: h.update(body_kind="residual"),
+    "unknown-activation": lambda h: h.update(activation="swish"),
+    "conv-kind-over-dense-params": lambda h: h.update(body_kind="conv-highway"),
+    "plain-kind-over-highway-params": lambda h: h.update(body_kind="plain"),
+}
 
 
 class TestRoundTrip:
@@ -77,4 +102,12 @@ class TestCorruption:
         save_checkpoint(make_net(), path)
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
         with pytest.raises(CheckpointError, match="trailing"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("case", sorted(BAD_HEADERS))
+    def test_bad_header(self, tmp_path, case):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(make_net("highway"), path)
+        rewrite_header(path, BAD_HEADERS[case])
+        with pytest.raises(CheckpointError):
             load_checkpoint(path)

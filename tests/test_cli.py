@@ -83,6 +83,12 @@ class TestTrain:
         assert code == 2
         assert "elsewhere" in capsys.readouterr().err
 
+    def test_jobs_flag_rejected(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", out_dir=str(tmp_path / "run"))
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--config", str(cfg), "--jobs", "2"])
+        assert exc.value.code == 2
+
     def test_conv_highway_end_to_end(self, tmp_path):
         cfg = write_config(tmp_path / "c.json",
                            dataset={"name": "synthetic", "count": 80},
