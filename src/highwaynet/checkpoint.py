@@ -18,13 +18,15 @@ The header records the architecture and, per parameter, its name and shape:
 
 Loading rebuilds the network and restores parameters bit-identically.  The
 body layer class is BODY_KINDS[body_kind], and the stored names must be
-exactly the layer classes' PARAMS in order; any other header raises
-CheckpointError.
+exactly the layer classes' PARAMS in order; any other header (a missing key,
+a value of the wrong JSON type, a shape that is not a list of non-negative
+integers, tensors that do not fit together) raises CheckpointError.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -33,7 +35,7 @@ from .layers import BODY_KINDS, Network, PlainLayer, SoftmaxHead
 from .ops import ACTIVATIONS
 
 MAGIC = b"HWNETCK1"
-HEADER_KEYS = ("body_kind", "activation", "has_input_layer", "params")
+HEADER_TYPES = {"body_kind": str, "activation": str, "has_input_layer": bool, "params": list}
 
 
 class CheckpointError(ValueError):
@@ -62,15 +64,20 @@ def save_checkpoint(net: Network, path) -> None:
 def _layout(header: dict, path) -> list:
     """(prefix, layer class) for every layer the header describes, in
     parameter order; the stored names must be exactly the classes' PARAMS."""
-    missing = [key for key in HEADER_KEYS if key not in header]
-    if missing:
-        raise CheckpointError(f"checkpoint header in {path} lacks {', '.join(missing)}")
+    bad = [key for key, kind in HEADER_TYPES.items() if not isinstance(header.get(key), kind)]
+    if bad:
+        raise CheckpointError(f"checkpoint header in {path} lacks a valid {', '.join(bad)}")
+    for entry in header["params"]:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(type(d) is int and d >= 0 for d in entry["shape"])):
+            raise CheckpointError(f"malformed parameter entry {entry!r} in {path}")
     if header["body_kind"] not in BODY_KINDS:
         raise CheckpointError(f"unknown body kind {header['body_kind']!r} in {path}")
     if header["activation"] not in ACTIVATIONS:
         raise CheckpointError(f"unknown activation {header['activation']!r} in {path}")
     body_cls = BODY_KINDS[header["body_kind"]]
-    names = [entry.get("name", "") for entry in header["params"]]
+    names = [entry["name"] for entry in header["params"]]
     depth = sum(name.startswith("body.") for name in names) // len(body_cls.PARAMS)
     layout = ([("input", PlainLayer)] if header["has_input_layer"] else []) + [
         (f"body.{i}", body_cls) for i in range(depth)] + [("head", SoftmaxHead)]
@@ -92,15 +99,15 @@ def load_checkpoint(path) -> Network:
         header = json.loads(raw[12:12 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable checkpoint header in {path}: {exc}") from exc
-    if header.get("format") != 1:
-        raise CheckpointError(f"unsupported checkpoint format {header.get('format')!r}")
+    if not isinstance(header, dict) or header.get("format") != 1:
+        raise CheckpointError(f"unsupported checkpoint header format in {path}")
     layout = _layout(header, path)
 
     offset = 12 + header_len
     arrays = {}
     for entry in header["params"]:
         shape = tuple(entry["shape"])
-        nbytes = int(np.prod(shape)) * 8
+        nbytes = math.prod(shape) * 8
         chunk = raw[offset:offset + nbytes]
         if len(chunk) != nbytes:
             raise CheckpointError(f"truncated parameter blob {entry['name']!r} in {path}")
@@ -114,6 +121,9 @@ def load_checkpoint(path) -> Network:
         params = (arrays[f"{prefix}.{n}"] for n in cls.PARAMS)
         return SoftmaxHead(*params) if cls is SoftmaxHead else cls(*params, header["activation"])
 
-    layers = [build(prefix, cls) for prefix, cls in layout]
-    input_layer = layers.pop(0) if header["has_input_layer"] else None
-    return Network(input_layer, layers[:-1], layers[-1])
+    try:
+        layers = [build(prefix, cls) for prefix, cls in layout]
+        input_layer = layers.pop(0) if header["has_input_layer"] else None
+        return Network(input_layer, layers[:-1], layers[-1])
+    except ValueError as exc:  # ShapeError included
+        raise CheckpointError(f"parameters in {path} do not fit together: {exc}") from exc

@@ -1,9 +1,10 @@
 """Experiment command line: train, sweep, search, analyze.
 
-Each run is driven by a JSON config file (flags override the common keys)
-and writes a manifest.json recording the resolved config, seed, and package
-version, which is enough to reproduce the outputs byte for byte (modulo the
-wall-time column in the training log).
+Each run is driven by a JSON config file (flags override the common keys;
+_build reads each section into its dataclass) and writes a manifest.json
+recording the resolved config, seed, and package version, which is enough to
+reproduce the outputs byte for byte (modulo the wall-time column in the
+training log).
 
 Exit codes: 0 success; 2 config/usage/format problems; 3 training diverged;
 1 anything unexpected.
@@ -13,14 +14,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import __version__
-from .analysis import AnalysisError, bias_activity_correlation, export_report, gate_report, gate_sparsity
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .data import Dataset, FormatError, load_cifar_binary, load_idx, subset, synthetic_digits
+from .analysis import bias_activity_correlation, export_report, gate_report, gate_sparsity
+from .checkpoint import load_checkpoint, save_checkpoint
+from .data import Dataset, load_cifar_binary, load_idx, subset, synthetic_digits
+from .init import InitScheme
 from .ops import Rng, derive_seed
 from .optim import SgdConfig, train
 from .search import NetworkTemplate, SearchSpace, run_search, write_search_csv
@@ -29,29 +32,50 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
+CONFIG_KEYS = ("dataset", "arch", "init", "sgd", "search", "depths", "kinds", "seed", "out_dir")
+DATASET_KEYS = ("name", "seed", "count", "dir", "images", "labels", "paths", "as_images", "subset")
+
 
 class ConfigError(ValueError):
     """Bad or missing configuration; maps to exit code 2."""
 
 
+def _section(name: str, section, keys) -> dict:
+    """The config object `name`, checked to hold no key outside keys."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {section!r}")
+    unknown = sorted(set(section) - set(keys))
+    if unknown:
+        raise ConfigError(f"{name}: unknown key {', '.join(map(repr, unknown))}")
+    return section
+
+
+def _build(cls, name: str, section, *extra: str, **run):
+    """Config section `name` as the dataclass cls, whose fields and defaults
+    are its schema.  The fields in `run` come from the run, not the config;
+    the `extra` keys are allowed and left to the caller.  JSON lists become
+    tuples; an unknown key or a value cls rejects is a ConfigError."""
+    own = [f.name for f in fields(cls) if f.name not in run]
+    _section(name, section, own + list(extra))
+    values = {k: tuple(v) if isinstance(v, list) else v for k, v in section.items() if k in own}
+    try:
+        return cls(**values, **run)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
 def load_config(path) -> dict:
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
     try:
         with open(path) as f:
-            return json.load(f)
+            return _section("config", json.load(f), CONFIG_KEYS)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
 
-def _require(cfg: dict, key: str, context: str) -> dict:
-    if key not in cfg:
-        raise ConfigError(f"config is missing the {key!r} section ({context})")
-    return cfg[key]
-
-
 def load_dataset(cfg: dict, seed: int) -> Dataset:
-    section = _require(cfg, "dataset", "what to train on")
+    if "dataset" not in cfg:
+        raise ConfigError("config is missing the 'dataset' section (what to train on)")
+    section = _section("dataset", cfg["dataset"], DATASET_KEYS)
     name = section.get("name", "synthetic")
     ds_seed = section.get("seed", seed)
     if name == "synthetic":
@@ -60,98 +84,57 @@ def load_dataset(cfg: dict, seed: int) -> Dataset:
         directory = section.get("dir", "data")
         images = section.get("images", os.path.join(directory, "train-images-idx3-ubyte"))
         labels = section.get("labels", os.path.join(directory, "train-labels-idx1-ubyte"))
-        for p in (images, labels):
-            if not os.path.exists(p):
-                raise ConfigError(f"dataset file not found: {p} "
-                                  "(tools/fetch_mnist.py downloads the archives)")
-        ds = load_idx(images, labels)
+        try:
+            ds = load_idx(images, labels)
+        except FileNotFoundError as exc:
+            raise ConfigError(f"{exc} (tools/fetch_mnist.py downloads the archives)") from exc
     elif name in ("cifar10", "cifar100"):
-        paths = section.get("paths")
-        if not paths:
+        if not section.get("paths"):
             raise ConfigError("cifar datasets need dataset.paths = [batch files]")
-        for p in paths:
-            if not os.path.exists(p):
-                raise ConfigError(f"dataset file not found: {p}")
-        ds = load_cifar_binary(paths, name, as_images=section.get("as_images", False))
+        ds = load_cifar_binary(section["paths"], name, as_images=section.get("as_images", False))
     else:
         raise ConfigError(f"unknown dataset name: {name!r}")
-    if "subset" in section and section["subset"] is not None:
-        n = section["subset"]
-        if n > ds.count:
-            raise ConfigError(f"subset {n} larger than dataset ({ds.count})")
-        ds = subset(ds, n, Rng(derive_seed(ds_seed, 90)))
+    if section.get("subset") is not None:
+        ds = subset(ds, section["subset"], Rng(derive_seed(ds_seed, 90)))
     return ds
 
 
-def _template(cfg: dict) -> NetworkTemplate:
-    arch = _require(cfg, "arch", "network architecture")
-    init_cfg = cfg.get("init", {})
-    for key in ("kind", "depth", "width"):
-        if key not in arch and not (key == "width" and arch.get("kind") == "conv-highway"):
-            raise ConfigError(f"arch section is missing {key!r}")
-    return NetworkTemplate(
-        kind=arch["kind"],
-        depth=arch["depth"],
-        width=arch.get("width", 0),
-        in_features=arch.get("in_features", 784),
-        classes=arch.get("classes", 10),
-        init_kind=init_cfg.get("kind", "he"),
-        image_shape=tuple(arch["image_shape"]) if "image_shape" in arch else None,
-        kernel_size=arch.get("kernel_size", 3),
-    )
-
-
 def _write_manifest(out_dir: str, command: str, cfg: dict, seed: int) -> None:
-    manifest = {
-        "command": command,
-        "config": cfg,
-        "seed": seed,
-        "version": __version__,
-    }
+    manifest = {"command": command, "config": cfg, "seed": seed, "version": __version__}
     with open(os.path.join(out_dir, "manifest.json"), "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
-def _search_space(cfg: dict) -> SearchSpace:
-    s = cfg.get("search", {})
-    kwargs = {}
-    for key in ("lr0", "momentum", "decay", "gate_bias"):
-        if key in s:
-            kwargs[key] = tuple(s[key]) if s[key] is not None else None
-    if "activations" in s:
-        kwargs["activations"] = tuple(s["activations"])
-    for key in ("trials", "epochs", "batch_size"):
-        if key in s:
-            kwargs[key] = s[key]
-    return SearchSpace(**kwargs)
-
-
-def _shape_for_arch(ds: Dataset, template: NetworkTemplate) -> Dataset:
-    """Flatten for dense networks, reshape to [count, c, h, w] for conv."""
-    if template.kind != "conv-highway":
-        return ds.flattened()
-    if template.image_shape is None:
-        raise ConfigError("conv-highway needs arch.image_shape = [c, h, w]")
-    if ds.inputs.ndim == 4:
-        return ds
-    c, h, w = template.image_shape
-    if ds.features != c * h * w:
-        raise ConfigError(f"dataset features {ds.features} do not fill image {template.image_shape}")
-    return Dataset(ds.inputs.reshape(-1, c, h, w), ds.labels, ds.num_classes, ds.name)
+def _setup(cfg: dict, command: str):
+    """What train, search and sweep share: the seed, the output directory,
+    the dataset (flat for dense networks, [count, c, h, w] for conv), the
+    NetworkTemplate fitted to it, and template.build's arguments for the one
+    network `train` trains."""
+    seed = cfg.get("seed", 0)
+    scheme = _build(InitScheme, "init", cfg.get("init", {}), rng_seed=derive_seed(seed, 1))
+    arch = cfg.get("arch", {})
+    if isinstance(arch, dict) and arch.get("kind") == "conv-highway":
+        arch = {"width": 0, **arch}  # unused by conv layers, which keep the image's channels
+    ds = load_dataset(cfg, seed)
+    template = _build(NetworkTemplate, "arch", arch, "activation", in_features=ds.features,
+                      classes=ds.num_classes, init_kind=scheme.kind)
+    ds = ds.flattened()
+    if template.kind == "conv-highway":
+        if ds.features != math.prod(template.image_shape):
+            raise ConfigError(f"dataset features {ds.features} do not fill image "
+                              f"{template.image_shape}")
+        ds = replace(ds, inputs=ds.inputs.reshape(-1, *template.image_shape))
+    out_dir = cfg.get("out_dir", f"runs/{command}")
+    os.makedirs(out_dir, exist_ok=True)
+    return seed, out_dir, ds, template, (arch.get("activation", "relu"), scheme.gate_bias,
+                                         scheme.rng_seed)
 
 
 def cmd_train(cfg: dict) -> int:
-    seed = cfg.get("seed", 0)
-    out_dir = cfg.get("out_dir", "runs/train")
-    os.makedirs(out_dir, exist_ok=True)
-    template = _template(cfg)
-    ds = _shape_for_arch(load_dataset(cfg, seed), template)
-    sgd_cfg = _require(cfg, "sgd", "optimizer settings")
-    net = replace(template, in_features=ds.features, classes=ds.num_classes).build(
-        cfg["arch"].get("activation", "relu"), cfg.get("init", {}).get("gate_bias"),
-        derive_seed(seed, 1))
-    config = SgdConfig(**sgd_cfg)
+    config = _build(SgdConfig, "sgd", cfg.get("sgd", {}))
+    seed, out_dir, ds, template, build_args = _setup(cfg, "train")
+    net = template.build(*build_args)
     _, log = train(net, ds, config, Rng(derive_seed(seed, 2)))
 
     log.write_csv(os.path.join(out_dir, "log.csv"))
@@ -166,13 +149,8 @@ def cmd_train(cfg: dict) -> int:
 
 
 def cmd_search(cfg: dict, jobs: int = 1) -> int:
-    seed = cfg.get("seed", 0)
-    out_dir = cfg.get("out_dir", "runs/search")
-    os.makedirs(out_dir, exist_ok=True)
-    template = _template(cfg)
-    ds = _shape_for_arch(load_dataset(cfg, seed), template)
-    template = replace(template, in_features=ds.features, classes=ds.num_classes)
-    space = _search_space(cfg)
+    space = _build(SearchSpace, "search", cfg.get("search", {}))
+    seed, out_dir, ds, template, _ = _setup(cfg, "search")
     results = run_search(space, template, ds, seed, jobs=jobs)
     write_search_csv(results, os.path.join(out_dir, "search.csv"))
     _write_manifest(out_dir, "search", cfg, seed)
@@ -183,27 +161,23 @@ def cmd_search(cfg: dict, jobs: int = 1) -> int:
 
 
 def cmd_sweep(cfg: dict, jobs: int = 1) -> int:
-    seed = cfg.get("seed", 0)
-    out_dir = cfg.get("out_dir", "runs/sweep")
-    depths = cfg.get("depths", [])
-    kinds = cfg.get("kinds", [cfg.get("arch", {}).get("kind", "highway")])
-    if not depths:
+    if not cfg.get("depths"):
         raise ConfigError("sweep needs a non-empty 'depths' list")
-    os.makedirs(out_dir, exist_ok=True)
-    base = _template(cfg)
-    ds = _shape_for_arch(load_dataset(cfg, seed), base)
-    space = _search_space(cfg)
+    space = _build(SearchSpace, "search", cfg.get("search", {}))
+    seed, out_dir, ds, base, _ = _setup(cfg, "sweep")
+    try:  # check every (kind, depth) before the first search starts
+        templates = [replace(base, kind=kind, depth=depth)
+                     for kind in cfg.get("kinds", [base.kind]) for depth in cfg["depths"]]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"kinds x depths: {exc}") from exc
 
     rows = []
-    for kind in kinds:
-        for depth in depths:
-            template = replace(base, kind=kind, depth=depth, in_features=ds.features,
-                               classes=ds.num_classes)
-            results = run_search(space, template, ds, derive_seed(seed, depth), jobs=jobs)
-            write_search_csv(results, os.path.join(out_dir, f"search_{kind}_{depth}.csv"))
-            best = results[0]
-            rows.append((kind, depth, best))
-            print(f"{kind} depth={depth}: best loss {best.best_loss:.6f} ({best.status})")
+    for t in templates:
+        results = run_search(space, t, ds, derive_seed(seed, t.depth), jobs=jobs)
+        write_search_csv(results, os.path.join(out_dir, f"search_{t.kind}_{t.depth}.csv"))
+        rows.append((t.kind, t.depth, results[0]))
+        print(f"{t.kind} depth={t.depth}: best loss {results[0].best_loss:.6f} "
+              f"({results[0].status})")
 
     with open(os.path.join(out_dir, "sweep.csv"), "w") as f:
         f.write("kind,depth,status,best_loss,final_loss,lr0,momentum,decay,"
@@ -219,8 +193,6 @@ def cmd_sweep(cfg: dict, jobs: int = 1) -> int:
 
 def cmd_analyze(cfg: dict, checkpoint_path: str, out_dir: str, probe_index: int = 0) -> int:
     seed = cfg.get("seed", 0)
-    if not os.path.exists(checkpoint_path):
-        raise ConfigError(f"checkpoint not found: {checkpoint_path}")
     net = load_checkpoint(checkpoint_path)
     ds = load_dataset(cfg, seed).flattened()
     report = gate_report(net, ds, probe_index)
@@ -247,51 +219,37 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="highwaynet",
                                      description="gated-network experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("train", "sweep", "search"):
+    for name in ("train", "sweep", "search", "analyze"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
-        p.add_argument("--out-dir", default=None)
+        p.add_argument("--out-dir", default="runs/analyze" if name == "analyze" else None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--data-dir", default=None)
-        if name != "train":
+        if name in ("sweep", "search"):
             p.add_argument("--jobs", type=int, default=1)
-    p = sub.add_parser("analyze")
-    p.add_argument("--config", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--out-dir", default="runs/analyze")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--data-dir", default=None)
     p.add_argument("--probe-index", type=int, default=0)
     return parser
-
-
-def _apply_overrides(cfg: dict, args) -> dict:
-    if args.out_dir is not None:
-        cfg["out_dir"] = args.out_dir
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.data_dir is not None:
-        cfg.setdefault("dataset", {})["dir"] = args.data_dir
-    return cfg
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = _apply_overrides(load_config(args.config), args)
+        cfg = load_config(args.config)
+        if args.out_dir is not None:
+            cfg["out_dir"] = args.out_dir
+        if args.seed is not None:
+            cfg["seed"] = args.seed
+        if args.data_dir is not None:
+            cfg.setdefault("dataset", {})["dir"] = args.data_dir
         if args.command == "train":
             return cmd_train(cfg)
         if args.command == "search":
             return cmd_search(cfg, jobs=args.jobs)
         if args.command == "sweep":
             return cmd_sweep(cfg, jobs=args.jobs)
-        if args.command == "analyze":
-            return cmd_analyze(cfg, args.checkpoint, args.out_dir, args.probe_index)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, FormatError, CheckpointError, AnalysisError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+        return cmd_analyze(cfg, args.checkpoint, args.out_dir, args.probe_index)
+    except (ValueError, OSError) as exc:  # ConfigError and the loaders' errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -7,6 +7,8 @@ gradient checks in the test suite can use tight tolerances.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 ACTIVATIONS = ("relu", "tanh", "identity")
@@ -14,6 +16,14 @@ ACTIVATIONS = ("relu", "tanh", "identity")
 
 class ShapeError(ValueError):
     """Raised when tensor shapes do not line up for an operation."""
+
+
+def require_counts(owner, *names: str, least: int = 1) -> None:
+    """ValueError unless each named attribute is an integer >= least (numpy's pass, bool not)."""
+    for name in names:
+        value = getattr(owner, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import Dataset, batches
 from .layers import Network, network_forward_backward
-from .ops import Rng, ShapeError
+from .ops import Rng, ShapeError, require_counts
 
 
 @dataclass(frozen=True)
@@ -27,6 +27,7 @@ class SgdConfig:
     batch_size: int = 64
 
     def __post_init__(self):
+        require_counts(self, "epochs", "batch_size")
         # lr0 == 0 is allowed as the null update; useful in tests
         if not self.lr0 >= 0:
             raise ValueError(f"lr0 must be non-negative, got {self.lr0}")
@@ -34,8 +35,6 @@ class SgdConfig:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if not 0 < self.decay <= 1:
             raise ValueError(f"decay must be in (0, 1], got {self.decay}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be positive")
 
 
 @dataclass

@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 
 from .data import Dataset
 from .init import InitScheme, build_network, init_network
-from .ops import Rng, derive_seed
+from .layers import BODY_KINDS
+from .ops import ACTIVATIONS, Rng, derive_seed, require_counts
 from .optim import SgdConfig, TrainLog, train
 
 
@@ -32,18 +33,17 @@ class SearchSpace:
     batch_size: int = 64
 
     def __post_init__(self):
-        for name in ("lr0", "momentum", "decay"):
-            lo, hi = getattr(self, name)
-            if not lo <= hi:
-                raise ValueError(f"{name} range is empty: ({lo}, {hi})")
+        require_counts(self, "trials", "epochs", "batch_size")
+        ranges = ("lr0", "momentum", "decay") + (() if self.gate_bias is None else ("gate_bias",))
+        for name in ranges:
+            bounds = getattr(self, name)
+            if not (isinstance(bounds, tuple) and len(bounds) == 2 and bounds[0] <= bounds[1]):
+                raise ValueError(f"{name} must be a non-empty (low, high) range, got {bounds!r}")
         if not self.lr0[0] > 0:
             raise ValueError(f"lr0 range must be positive for log-uniform sampling: {self.lr0}")
-        if self.gate_bias is not None and not self.gate_bias[0] <= self.gate_bias[1]:
-            raise ValueError(f"gate_bias range is empty: {self.gate_bias}")
-        if not self.activations:
-            raise ValueError("need at least one activation")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if not self.activations or not set(self.activations) <= set(ACTIVATIONS):
+            raise ValueError(f"activations must be a non-empty subset of {ACTIVATIONS}, "
+                             f"got {self.activations!r}")
 
     def without_gate_bias(self) -> "SearchSpace":
         return replace(self, gate_bias=None)
@@ -86,6 +86,14 @@ class NetworkTemplate:
     image_shape: tuple | None = None
     kernel_size: int = 3
 
+    def __post_init__(self):
+        if self.kind not in BODY_KINDS:
+            raise ValueError(f"unknown network kind: {self.kind!r}")
+        if self.kind == "conv-highway" and self.image_shape is None:
+            raise ValueError("conv-highway needs image_shape = (c, h, w)")
+        require_counts(self, "depth", "kernel_size")
+        require_counts(self, "width", least=0)  # conv templates carry width 0
+
     def build(self, activation: str, gate_bias: float | None, init_seed: int):
         """A freshly initialized network; gate_bias None takes InitScheme's default."""
         net = build_network(self.kind, self.depth, self.width, self.in_features,
@@ -116,10 +124,19 @@ def run_trial(template: NetworkTemplate, dataset: Dataset, config: TrainConfig,
     return TrialResult(trial, config, seed, status, log.best_loss(), log.final_loss(), log)
 
 
+_worker_dataset: Dataset | None = None  # set by the initializer in each search pool worker
+
+
+def _share_dataset(dataset: Dataset) -> None:
+    global _worker_dataset
+    _worker_dataset = dataset
+
+
 def _trial_for_index(args):
     template, dataset, space, master_seed, i = args
     seed = derive_seed(master_seed, i)
     config = sample_config(space, Rng(derive_seed(seed, 0)))
+    dataset = _worker_dataset if dataset is None else dataset
     return run_trial(template, dataset, config, seed, trial=i)
 
 
@@ -129,12 +146,16 @@ def run_search(space: SearchSpace, template: NetworkTemplate, dataset: Dataset,
 
     Ranking is ascending best training cross-entropy with diverged trials
     last; ties break on trial index, so serial and parallel runs agree.
+    Pool tasks carry no data: each worker gets the dataset once, from the
+    pool initializer (inherited, not pickled, under the fork start method).
     """
     if template.kind == "plain":
         space = space.without_gate_bias()
-    work = [(template, dataset, space, master_seed, i) for i in range(space.trials)]
+    shipped = None if jobs > 1 else dataset
+    work = [(template, shipped, space, master_seed, i) for i in range(space.trials)]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_share_dataset,
+                                 initargs=(dataset,)) as pool:
             results = list(pool.map(_trial_for_index, work))
     else:
         results = [_trial_for_index(w) for w in work]

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from highwaynet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from highwaynet.init import InitScheme, build_network, init_network
@@ -12,6 +14,12 @@ from highwaynet.layers import count_parameters
 def make_net(kind="highway", seed=1):
     net = build_network(kind, 4, 6, 5, 3, "tanh")
     return init_network(net, InitScheme("he", -3.0, seed))
+
+
+def read_header(path) -> dict:
+    raw = path.read_bytes()
+    (n,) = struct.unpack("<I", raw[8:12])
+    return json.loads(raw[12:12 + n])
 
 
 def rewrite_header(path, edit):
@@ -33,7 +41,34 @@ BAD_HEADERS = {
     "unknown-activation": lambda h: h.update(activation="swish"),
     "conv-kind-over-dense-params": lambda h: h.update(body_kind="conv-highway"),
     "plain-kind-over-highway-params": lambda h: h.update(body_kind="plain"),
+    "params-entry-not-object": lambda h: h["params"].__setitem__(0, "input.W_H"),
+    "negative-shape": lambda h: h["params"][0].update(shape=[-6, -5]),
+    "swapped-shape": lambda h: h["params"][0].update(shape=[5, 6]),
+    "string-shape": lambda h: h["params"][0].update(shape="65"),
+    "float-shape": lambda h: h["params"][0].update(shape=[6.5, 5]),
+    "list-body_kind": lambda h: h.update(body_kind=["highway"]),
+    "string-has_input_layer": lambda h: h.update(has_input_layer="yes"),
 }
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+def json_type(value) -> str:
+    kinds = {bool: "boolean", int: "number", float: "number", str: "string", list: "array",
+             dict: "object"}
+    return kinds.get(type(value), "null")
+
+
+def value_paths(node, path=()):
+    """The key path of every value nested in a JSON object or array."""
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield path + (key,)
+            yield from value_paths(child, path + (key,))
 
 
 class TestRoundTrip:
@@ -111,3 +146,25 @@ class TestCorruption:
         rewrite_header(path, BAD_HEADERS[case])
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(kind=st.sampled_from(["highway", "plain"]), data=st.data())
+    def test_retyped_header_value_loads_or_raises_checkpoint_error(self, tmp_path, kind, data):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(make_net(kind), path)
+        header = read_header(path)
+        *outer, last = data.draw(st.sampled_from(list(value_paths(header))))
+
+        def holder(node):
+            for key in outer:
+                node = node[key]
+            return node
+
+        old = holder(header)[last]
+        new = data.draw(JSON_VALUES.filter(lambda v: json_type(v) != json_type(old)))
+        rewrite_header(path, lambda h: holder(h).__setitem__(last, new))
+        try:
+            load_checkpoint(path)
+        except CheckpointError:
+            pass

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,41 @@ def write_config(path, **overrides):
     with open(path, "w") as f:
         json.dump(cfg, f)
     return path
+
+
+HIGHWAY = {"kind": "highway", "depth": 3, "width": 10, "activation": "relu"}
+CONV = {"kind": "conv-highway", "depth": 1, "image_shape": [1, 28, 28], "activation": "relu"}
+SGD = {"lr0": 0.05, "epochs": 1, "batch_size": 32}
+SEARCH = {"trials": 1, "epochs": 1, "batch_size": 32}
+
+# (command, section, key, config overrides).  Each config runs without error,
+# or fails with a traceback and exit 1, when the key is not checked; it must
+# be refused with exit 2 and a message naming the section and the key.
+MALFORMED = {
+    "unknown-sgd-key": ("train", "sgd", "lr", {"sgd": {"lr": 1}}),
+    "sgd-missing-lr0": ("train", "sgd", "lr0", {"sgd": {"epochs": 1}}),
+    "init-typo": ("train", "init", "gate_bais", {"init": {"kind": "he", "gate_bais": -3.0}}),
+    "init-run-field": ("train", "init", "rng_seed", {"init": {"kind": "he", "rng_seed": 5}}),
+    "arch-typo": ("train", "arch", "widht", {"arch": {**HIGHWAY, "widht": 12}}),
+    "arch-from-dataset": ("train", "arch", "in_features", {"arch": {**HIGHWAY, "in_features": 784}}),
+    "search-typo": ("search", "search", "trails", {"search": {**SEARCH, "trails": 4}}),
+    "search-range-scalar": ("search", "search", "lr0", {"search": {**SEARCH, "lr0": 0.1}}),
+    "dataset-typo": ("train", "dataset", "cuont",
+                     {"dataset": {"name": "synthetic", "count": 150, "cuont": 100}}),
+    "top-level-typo": ("train", "config", "seeed", {"seeed": 3}),
+    "depth-string": ("train", "arch", "depth", {"arch": {**HIGHWAY, "depth": "3"}}),
+    "depth-bool": ("train", "arch", "depth", {"arch": {**HIGHWAY, "depth": True}}),
+    "width-float": ("train", "arch", "width", {"arch": {**HIGHWAY, "width": 10.0}}),
+    "kernel-float": ("train", "arch", "kernel_size", {"arch": {**CONV, "kernel_size": 3.0}}),
+    "sgd-epochs-float": ("train", "sgd", "epochs", {"sgd": {**SGD, "epochs": 1.5}}),
+    "sgd-batch-float": ("train", "sgd", "batch_size", {"sgd": {**SGD, "batch_size": 32.0}}),
+    "search-trials-float": ("search", "search", "trials", {"search": {**SEARCH, "trials": 2.0}}),
+    "search-epochs-float": ("search", "search", "epochs", {"search": {**SEARCH, "epochs": 1.5}}),
+    "search-batch-string": ("search", "search", "batch_size",
+                            {"search": {**SEARCH, "batch_size": "32"}}),
+    "sweep-depth-string": ("sweep", "depths", "depth", {"depths": ["3"], "search": SEARCH}),
+    "sweep-depths-not-list": ("sweep", "depths", "depths", {"depths": 3, "search": SEARCH}),
+}
 
 
 def read_log_rows(path):
@@ -102,6 +138,16 @@ class TestTrain:
         from highwaynet.checkpoint import load_checkpoint
         net = load_checkpoint(tmp_path / "run" / "model.ckpt")
         assert net.is_conv and len(net.body) == 2
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_exit_2_names_section_and_key(self, tmp_path, capsys, case):
+        command, section, key, overrides = MALFORMED[case]
+        cfg = write_config(tmp_path / "c.json", out_dir=str(tmp_path / "run"), **overrides)
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert re.search(rf"\b{section}\b", err) and re.search(rf"\b{key}\b", err), err
 
 
 class TestSweep:

@@ -68,6 +68,17 @@ def toy_two_class():
     return Dataset(inputs, labels, 2, "blobs")
 
 
+class TestSgdConfig:
+    @pytest.mark.parametrize("field", ["epochs", "batch_size"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, "2", True, 0])
+    def test_counts_must_be_positive_integers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SgdConfig(0.1, **{field: value})
+
+    def test_numpy_integers_pass(self):
+        assert SgdConfig(0.1, epochs=np.int64(2), batch_size=np.int32(8)).epochs == 2
+
+
 class TestTrain:
     def test_separable_toy_reaches_full_accuracy(self, toy_two_class):
         net = build_network("highway", 2, 8, 4, 2, "tanh")

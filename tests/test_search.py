@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from highwaynet.data import synthetic_digits
+from highwaynet.data import Dataset, synthetic_digits
 from highwaynet.ops import Rng, derive_seed
 from highwaynet.search import (
     NetworkTemplate,
@@ -51,8 +51,44 @@ class TestSampleConfig:
             SearchSpace(lr0=(0.0, 0.1))
 
 
+class TestFieldChecks:
+    @pytest.mark.parametrize("field", ["trials", "epochs", "batch_size"])
+    @pytest.mark.parametrize("value", [2.0, "2", True, 0])
+    def test_space_counts_must_be_positive_integers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SearchSpace(**{field: value})
+
+    @pytest.mark.parametrize("field", ["depth", "width", "kernel_size"])
+    @pytest.mark.parametrize("value", [3.0, "3", False])
+    def test_template_sizes_must_be_integers(self, field, value):
+        args = dict(kind="highway", depth=3, width=12, in_features=784, classes=10)
+        with pytest.raises(ValueError, match=field):
+            NetworkTemplate(**{**args, field: value})
+
+    def test_numpy_integers_pass(self):
+        SearchSpace(trials=np.int64(2), epochs=np.int32(1), batch_size=np.int64(8))
+        NetworkTemplate("highway", np.int64(3), np.int64(12), 784, 10, kernel_size=np.int64(3))
+
+    def test_template_kind_checked(self):
+        with pytest.raises(ValueError, match="kind"):
+            NetworkTemplate("residual", 3, 12, 784, 10)
+
+    def test_unknown_activation_rejected(self):
+        with pytest.raises(ValueError, match="activations"):
+            SearchSpace(activations=("relu", "swish"))
+
+
 TINY_SPACE = SearchSpace(trials=3, epochs=2, batch_size=32)
 TEMPLATE = NetworkTemplate("highway", 3, 12, 784, 10)
+
+
+class PickleCountingDataset(Dataset):
+    """Counts how often this process pickles it."""
+    pickles = 0
+
+    def __getstate__(self):
+        type(self).pickles += 1
+        return self.__dict__
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +120,15 @@ class TestRunSearch:
         assert all(a.best_loss <= b.best_loss for a, b in zip(ok, ok[1:]))
         statuses = [r.status for r in results]
         assert statuses == sorted(statuses, key=lambda s: s != "ok")
+
+    def test_parallel_search_ships_dataset_once_per_worker(self, tiny_dataset):
+        PickleCountingDataset.pickles = 0
+        ds = PickleCountingDataset(tiny_dataset.inputs, tiny_dataset.labels,
+                                   tiny_dataset.num_classes, tiny_dataset.name)
+        results = run_search(SearchSpace(trials=4, epochs=1, batch_size=32), TEMPLATE, ds, 3,
+                             jobs=2)
+        assert len(results) == 4
+        assert PickleCountingDataset.pickles <= 2  # the pool has 2 workers, the search 4 tasks
 
     def test_trial_reproducible_standalone(self, tiny_dataset):
         results = run_search(TINY_SPACE, TEMPLATE, tiny_dataset, 23)
