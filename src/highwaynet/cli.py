@@ -24,7 +24,7 @@ from .analysis import bias_activity_correlation, export_report, gate_report, gat
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import Dataset, load_cifar_binary, load_idx, subset, synthetic_digits
 from .init import InitScheme
-from .ops import Rng, derive_seed
+from .ops import Rng, derive_seed, require_int
 from .optim import SgdConfig, train
 from .search import NetworkTemplate, SearchSpace, run_search, write_search_csv
 
@@ -48,6 +48,15 @@ def _section(name: str, section, keys) -> dict:
     if unknown:
         raise ConfigError(f"{name}: unknown key {', '.join(map(repr, unknown))}")
     return section
+
+
+def _integer(name: str, key: str, value, least: int | None = 1) -> int:
+    """value, unless it is not an integer >= least: then a ConfigError
+    naming the config section and the key."""
+    try:
+        return require_int(key, value, least)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def _build(cls, name: str, section, *extra: str, **run):
@@ -77,9 +86,9 @@ def load_dataset(cfg: dict, seed: int) -> Dataset:
         raise ConfigError("config is missing the 'dataset' section (what to train on)")
     section = _section("dataset", cfg["dataset"], DATASET_KEYS)
     name = section.get("name", "synthetic")
-    ds_seed = section.get("seed", seed)
+    ds_seed = _integer("dataset", "seed", section.get("seed", seed), least=None)
     if name == "synthetic":
-        ds = synthetic_digits(section.get("count", 10000), ds_seed)
+        ds = synthetic_digits(_integer("dataset", "count", section.get("count", 10000)), ds_seed)
     elif name == "mnist":
         directory = section.get("dir", "data")
         images = section.get("images", os.path.join(directory, "train-images-idx3-ubyte"))
@@ -95,7 +104,8 @@ def load_dataset(cfg: dict, seed: int) -> Dataset:
     else:
         raise ConfigError(f"unknown dataset name: {name!r}")
     if section.get("subset") is not None:
-        ds = subset(ds, section["subset"], Rng(derive_seed(ds_seed, 90)))
+        ds = subset(ds, _integer("dataset", "subset", section["subset"]),
+                    Rng(derive_seed(ds_seed, 90)))
     return ds
 
 
@@ -111,7 +121,7 @@ def _setup(cfg: dict, command: str):
     the dataset (flat for dense networks, [count, c, h, w] for conv), the
     NetworkTemplate fitted to it, and template.build's arguments for the one
     network `train` trains."""
-    seed = cfg.get("seed", 0)
+    seed = _integer("config", "seed", cfg.get("seed", 0), least=None)
     scheme = _build(InitScheme, "init", cfg.get("init", {}), rng_seed=derive_seed(seed, 1))
     arch = cfg.get("arch", {})
     if isinstance(arch, dict) and arch.get("kind") == "conv-highway":
@@ -192,7 +202,7 @@ def cmd_sweep(cfg: dict, jobs: int = 1) -> int:
 
 
 def cmd_analyze(cfg: dict, checkpoint_path: str, out_dir: str, probe_index: int = 0) -> int:
-    seed = cfg.get("seed", 0)
+    seed = _integer("config", "seed", cfg.get("seed", 0), least=None)
     net = load_checkpoint(checkpoint_path)
     ds = load_dataset(cfg, seed).flattened()
     report = gate_report(net, ds, probe_index)

@@ -20,6 +20,7 @@ from .ops import Rng
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
+IDX_CLASSES = 10  # MNIST's digits; a label file need not hold every class
 CIFAR_PIXELS = 3072  # 3 x 32 x 32
 
 
@@ -78,6 +79,8 @@ def load_idx(images_path, labels_path) -> Dataset:
     count = _read_be32(raw, 4, images_path)
     rows = _read_be32(raw, 8, images_path)
     cols = _read_be32(raw, 12, images_path)
+    if count == 0:
+        raise FormatError(f"{images_path} holds no images")
     pixels = np.frombuffer(raw, dtype=np.uint8, offset=16)
     if pixels.size != count * rows * cols:
         raise FormatError(
@@ -99,9 +102,7 @@ def load_idx(images_path, labels_path) -> Dataset:
         raise FormatError(f"image count {count} != label count {count_l}")
 
     inputs = pixels.astype(np.float64).reshape(count, rows * cols) / 255.0
-    labels = labels.astype(np.int64)
-    num_classes = int(labels.max()) + 1 if labels.size else 0
-    return Dataset(inputs, labels, num_classes, "idx")
+    return Dataset(inputs, labels.astype(np.int64), IDX_CLASSES, "idx")
 
 
 def save_idx(ds: Dataset, images_path, labels_path, rows: int = 28, cols: int = 28) -> None:

@@ -126,9 +126,10 @@ class _GateCore(_Layer):
         x, a, h, t = cache["x"], cache["a"], cache["h"], cache["t"]
         if dL_dy.shape != x.shape:
             raise ShapeError(f"upstream gradient {dL_dy.shape} does not match cache {x.shape}")
+        carry = 1.0 - t
         da = dL_dy * t * activation_derivative(a, self.activation)
-        ds = dL_dy * (h - x) * t * (1.0 - t)
-        return x, da, ds, dL_dy * (1.0 - t)
+        ds = dL_dy * (h - x) * t * carry
+        return x, da, ds, dL_dy * carry
 
 
 class HighwayLayer(_GateCore):
@@ -269,18 +270,18 @@ class SoftmaxHead(_Layer):
     def classes(self) -> int:
         return self.out_width
 
-    def probabilities(self, x: np.ndarray) -> np.ndarray:
+    def _shifted_logits(self, x: np.ndarray) -> np.ndarray:
+        """Logits less each row's maximum, so exp cannot overflow."""
         z = matmul(x, self.W.T) + self.b
-        z = z - z.max(axis=1, keepdims=True)
-        e = np.exp(z)
+        return z - z.max(axis=1, keepdims=True)
+
+    def probabilities(self, x: np.ndarray) -> np.ndarray:
+        e = np.exp(self._shifted_logits(x))
         return e / e.sum(axis=1, keepdims=True)
 
-    def forward_backward(self, x: np.ndarray, labels: np.ndarray):
-        """Returns (loss, probs, dL_dx, grads).
-
-        loss is the mean cross-entropy over the batch; the logit gradient is
-        (probs - onehot) / batch, pushed back through the affine map.
-        """
+    def loss_probs(self, x: np.ndarray, labels: np.ndarray):
+        """Forward only: (mean cross-entropy over the batch, probs), with
+        probs = exp(log-softmax) of the logits."""
         labels = np.asarray(labels)
         if labels.ndim != 1 or labels.shape[0] != x.shape[0]:
             raise ShapeError(f"labels {labels.shape} do not match batch {x.shape}")
@@ -288,15 +289,18 @@ class SoftmaxHead(_Layer):
             raise ValueError(
                 f"label out of range [0, {self.classes}): min {labels.min()}, max {labels.max()}"
             )
-        batch = x.shape[0]
-        z = matmul(x, self.W.T) + self.b
-        zmax = z.max(axis=1, keepdims=True)
-        shifted = z - zmax
-        log_norm = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        log_probs = shifted - log_norm
-        probs = np.exp(log_probs)
-        loss = -log_probs[np.arange(batch), labels].mean()
+        shifted = self._shifted_logits(x)
+        log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        return -log_probs[np.arange(x.shape[0]), labels].mean(), np.exp(log_probs)
 
+    def forward_backward(self, x: np.ndarray, labels: np.ndarray):
+        """Returns (loss, probs, dL_dx, grads), loss and probs as loss_probs.
+
+        The logit gradient is (probs - onehot) / batch, pushed back through
+        the affine map.
+        """
+        loss, probs = self.loss_probs(x, labels)
+        batch = x.shape[0]
         dz = probs.copy()
         dz[np.arange(batch), labels] -= 1.0
         dz /= batch
@@ -357,27 +361,32 @@ class Network:
     def _flatten(self, y: np.ndarray) -> np.ndarray:
         return y.reshape(y.shape[0], -1) if self.is_conv else y
 
+    def _named_layers(self) -> list:
+        """(name, layer) for the input layer, if any, then each body layer."""
+        layers = [("input", self.input_layer)] if self.input_layer is not None else []
+        return layers + [(f"body.{i}", layer) for i, layer in enumerate(self.body)]
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Forward pass up to the head's (flattened) input for evaluation:
+        each layer's cache is dropped as soon as the layer returns."""
+        for _, layer in self._named_layers():
+            x = layer.forward(x)[0]
+        return self._flatten(x)
+
     def forward_caches(self, x: np.ndarray):
         """Forward pass keeping every layer's cache (for backward/analysis)."""
         caches = []
-        y = x
-        if self.input_layer is not None:
-            y, cache = self.input_layer.forward(y)
-            caches.append(("input", self.input_layer, cache))
-        for i, layer in enumerate(self.body):
-            y, cache = layer.forward(y)
-            caches.append((f"body.{i}", layer, cache))
-        return y, caches
+        for name, layer in self._named_layers():
+            x, cache = layer.forward(x)
+            caches.append((name, layer, cache))
+        return x, caches
 
     def predict_probs(self, x: np.ndarray) -> np.ndarray:
-        y, _ = self.forward_caches(x)
-        return self.head.probabilities(self._flatten(y))
+        return self.head.probabilities(self.forward(x))
 
     def parameters(self):
         """All parameter tensors as (name, array), in forward order."""
-        layers = [("input", self.input_layer)] if self.input_layer is not None else []
-        layers += [(f"body.{i}", layer) for i, layer in enumerate(self.body)]
-        layers.append(("head", self.head))
+        layers = self._named_layers() + [("head", self.head)]
         return [(f"{prefix}.{n}", p) for prefix, layer in layers for n, p in layer.parameters()]
 
 

@@ -83,9 +83,7 @@ def evaluate(net: Network, ds: Dataset, batch_size: int = 512):
     """Mean cross-entropy and accuracy over the whole dataset."""
     total_loss, correct = 0.0, 0
     for xb, yb in batches(ds, batch_size):
-        flat, _ = net.forward_caches(xb)
-        flat = net._flatten(flat)
-        loss, probs, _, _ = net.head.forward_backward(flat, yb)
+        loss, probs = net.head.loss_probs(net.forward(xb), yb)
         total_loss += loss * xb.shape[0]
         correct += int((probs.argmax(axis=1) == yb).sum())
     return total_loss / ds.count, correct / ds.count

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from .data import Dataset
 from .init import InitScheme, build_network, init_network
 from .layers import BODY_KINDS
-from .ops import ACTIVATIONS, Rng, derive_seed, require_counts
+from .ops import ACTIVATIONS, Rng, derive_seed, require_counts, require_int
 from .optim import SgdConfig, TrainLog, train
 
 
@@ -89,8 +89,12 @@ class NetworkTemplate:
     def __post_init__(self):
         if self.kind not in BODY_KINDS:
             raise ValueError(f"unknown network kind: {self.kind!r}")
-        if self.kind == "conv-highway" and self.image_shape is None:
-            raise ValueError("conv-highway needs image_shape = (c, h, w)")
+        if self.kind == "conv-highway":
+            shape = self.image_shape
+            if not isinstance(shape, (tuple, list)) or len(shape) != 3:
+                raise ValueError(f"conv-highway needs image_shape = (c, h, w), got {shape!r}")
+            for value in shape:
+                require_int("image_shape", value)
         require_counts(self, "depth", "kernel_size")
         require_counts(self, "width", least=0)  # conv templates carry width 0
 

@@ -11,6 +11,7 @@ import os
 import pytest
 
 from highwaynet.data import Dataset, load_idx, subset, synthetic_digits
+from highwaynet.init import InitScheme, build_network, init_network
 from highwaynet.ops import Rng
 
 DATA_DIR = os.environ.get("HIGHWAYNET_DATA_DIR", "data")
@@ -40,3 +41,16 @@ def desk_corpus_10k() -> Dataset:
 def desk_corpus_2k(desk_corpus_10k) -> Dataset:
     ds = desk_corpus_10k
     return Dataset(ds.inputs[:2000], ds.labels[:2000], ds.num_classes, ds.name)
+
+
+@pytest.fixture(params=["plain", "highway", "conv-highway"])
+def small_net(request):
+    """(net, inputs): a small initialized network of each body kind and 30
+    inputs for it (flat, or 2x4x4 images for the conv body)."""
+    x = Rng(51).normal(size=(30, 32))
+    if request.param == "conv-highway":
+        net = build_network(request.param, 2, 0, 32, 3, "relu", image_shape=(2, 4, 4))
+        x = x.reshape(30, 2, 4, 4)
+    else:
+        net = build_network(request.param, 4, 6, 32, 3, "tanh")
+    return init_network(net, InitScheme("he", -1.0, 50)), x

@@ -55,6 +55,18 @@ MALFORMED = {
                             {"search": {**SEARCH, "batch_size": "32"}}),
     "sweep-depth-string": ("sweep", "depths", "depth", {"depths": ["3"], "search": SEARCH}),
     "sweep-depths-not-list": ("sweep", "depths", "depths", {"depths": 3, "search": SEARCH}),
+    "seed-string": ("train", "config", "seed", {"seed": "1"}),
+    "search-seed-float": ("search", "config", "seed", {"seed": 1.5, "search": SEARCH}),
+    "dataset-count-string": ("train", "dataset", "count",
+                             {"dataset": {"name": "synthetic", "count": "60"}}),
+    "dataset-seed-string": ("train", "dataset", "seed",
+                            {"dataset": {"name": "synthetic", "count": 60, "seed": "4"}}),
+    "dataset-subset-string": ("train", "dataset", "subset",
+                              {"dataset": {"name": "synthetic", "count": 60, "subset": "30"}}),
+    "image-shape-float": ("train", "arch", "image_shape",
+                          {"arch": {**CONV, "image_shape": [1, 28.0, 28]}}),
+    "image-shape-two": ("train", "arch", "image_shape", {"arch": {**CONV, "image_shape": [28, 28]}}),
+    "image-shape-int": ("train", "arch", "image_shape", {"arch": {**CONV, "image_shape": 784}}),
 }
 
 

@@ -1,9 +1,15 @@
 import os
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from highwaynet.data import (
+    CIFAR_PIXELS,
+    IDX_IMAGE_MAGIC,
+    IDX_LABEL_MAGIC,
     Dataset,
     FormatError,
     batches,
@@ -31,7 +37,97 @@ def idx_pair(tmp_path):
     return ds, images, labels
 
 
+def loads_or_format_error(load) -> None:
+    """The loaders' contract on any input: a Dataset, or a FormatError."""
+    try:
+        ds = load()
+    except FormatError:
+        return
+    assert isinstance(ds, Dataset)
+
+
+def idx_bytes(labels, rows: int = 2, cols: int = 3) -> tuple[bytes, bytes]:
+    """A valid IDX image/label pair of len(labels) tiny images."""
+    count = len(labels)
+    pixels = bytes(i % 256 for i in range(count * rows * cols))
+    return (struct.pack(">IIII", IDX_IMAGE_MAGIC, count, rows, cols) + pixels,
+            struct.pack(">II", IDX_LABEL_MAGIC, count) + bytes(labels))
+
+
+def cifar_bytes(labels, label_bytes: int) -> bytes:
+    records = [bytes([label] * label_bytes) + bytes(CIFAR_PIXELS) for label in labels]
+    return b"".join(records)
+
+
+def mutated(data, raw: bytes, header_words: int) -> bytes:
+    """raw with one mutation drawn by hypothesis: a header word replaced by
+    any 32-bit value, the length cut or extended, or one byte replaced."""
+    raw = bytearray(raw)
+    how = data.draw(st.sampled_from(["header", "length", "byte"]))
+    if how == "header" and header_words:
+        word = data.draw(st.integers(0, header_words - 1))
+        struct.pack_into(">I", raw, 4 * word, data.draw(st.integers(0, 2 ** 32 - 1)))
+    elif how == "length":
+        cut = data.draw(st.integers(0, len(raw)))
+        raw = raw[:cut] + data.draw(st.binary(max_size=16))
+    else:
+        raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+    return bytes(raw)
+
+
+FUZZ = settings(max_examples=150, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestLoaderFuzz:
+    @FUZZ
+    @given(images=st.binary(max_size=48), labels=st.binary(max_size=24))
+    def test_idx_arbitrary_bytes(self, tmp_path, images, labels):
+        (tmp_path / "i").write_bytes(images)
+        (tmp_path / "l").write_bytes(labels)
+        loads_or_format_error(lambda: load_idx(tmp_path / "i", tmp_path / "l"))
+
+    @FUZZ
+    @given(labels=st.lists(st.integers(0, 9), max_size=5), which=st.sampled_from([0, 1]),
+           data=st.data())
+    def test_idx_mutated_files(self, tmp_path, labels, which, data):
+        files = list(idx_bytes(labels))
+        files[which] = mutated(data, files[which], 4 if which == 0 else 2)
+        (tmp_path / "i").write_bytes(files[0])
+        (tmp_path / "l").write_bytes(files[1])
+        loads_or_format_error(lambda: load_idx(tmp_path / "i", tmp_path / "l"))
+
+    @FUZZ
+    @given(raw=st.binary(max_size=7000), variant=st.sampled_from(["cifar10", "cifar100"]))
+    def test_cifar_arbitrary_bytes(self, tmp_path, raw, variant):
+        (tmp_path / "c").write_bytes(raw)
+        loads_or_format_error(lambda: load_cifar_binary([tmp_path / "c"], variant))
+
+    @FUZZ
+    @given(labels=st.lists(st.integers(0, 9), min_size=1, max_size=3),
+           variant=st.sampled_from(["cifar10", "cifar100"]), data=st.data())
+    def test_cifar_mutated_file(self, tmp_path, labels, variant, data):
+        raw = cifar_bytes(labels, 1 if variant == "cifar10" else 2)
+        (tmp_path / "c").write_bytes(mutated(data, raw, 0))
+        loads_or_format_error(lambda: load_cifar_binary([tmp_path / "c"], variant))
+
+
 class TestIdx:
+    def test_class_count_is_ten_without_class_nine(self, tmp_path):
+        images, labels = idx_bytes([0, 3, 8, 8, 1])
+        (tmp_path / "i").write_bytes(images)
+        (tmp_path / "l").write_bytes(labels)
+        ds = load_idx(tmp_path / "i", tmp_path / "l")
+        assert ds.num_classes == 10 and ds.labels.max() == 8
+
+    @pytest.mark.parametrize("labels, match", [([0, 10, 2], "label 10"), ([], "no images")])
+    def test_bad_labels_or_empty(self, tmp_path, labels, match):
+        images, label_file = idx_bytes(labels)
+        (tmp_path / "i").write_bytes(images)
+        (tmp_path / "l").write_bytes(label_file)
+        with pytest.raises(FormatError, match=match):
+            load_idx(tmp_path / "i", tmp_path / "l")
+
     def test_round_trip_bytes(self, idx_pair, tmp_path):
         ds, images, labels = idx_pair
         loaded = load_idx(images, labels)

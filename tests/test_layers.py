@@ -272,6 +272,18 @@ class TestSoftmaxHead:
         head = SoftmaxHead(np.zeros((3, 2)), np.zeros(3))
         with pytest.raises(ValueError, match="label"):
             head.forward_backward(np.zeros((1, 2)), np.array([3]))
+        with pytest.raises(ValueError, match="label"):
+            head.loss_probs(np.zeros((1, 2)), np.array([3]))
+
+    def test_loss_probs_equals_forward_backward(self):
+        rng = Rng(31)
+        head = SoftmaxHead(rng.normal(size=(7, 5)), rng.normal(size=7))
+        x = rng.normal(std=10.0, size=(9, 5))
+        labels = Rng(32).integers(7, size=9)
+        loss, probs = head.loss_probs(x, labels)
+        want_loss, want_probs, _, _ = head.forward_backward(x, labels)
+        assert loss == want_loss
+        assert np.array_equal(probs, want_probs)
 
     def test_gradients_match_finite_differences(self):
         for seed in range(5):
@@ -289,6 +301,14 @@ class TestSoftmaxHead:
 
 
 class TestNetwork:
+    def test_forward_and_predict_probs_equal_cached_path(self, small_net):
+        net, x = small_net
+        y, caches = net.forward_caches(x)
+        flat = net._flatten(y)
+        assert len(caches) == len(net.body) + (not net.is_conv)
+        assert np.array_equal(net.forward(x), flat)
+        assert np.array_equal(net.predict_probs(x), net.head.probabilities(flat))
+
     def test_saturated_body_equals_input_plus_head(self):
         rng = Rng(40)
         input_layer = PlainLayer(rng.normal(std=0.3, size=(4, 6)), rng.normal(size=4), "tanh")

@@ -37,7 +37,38 @@ class TestMatmul:
             assert rel < 1e-9
 
 
+def two_branch_sigmoid(x):
+    """The masked reference: 1/(1+e^-x) where x >= 0, e^x/(1+e^x) elsewhere."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+SIGMOID_EDGES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                          40.0, -40.0, 745.0, -745.0, 800.0, -800.0])
+
+
 class TestSigmoid:
+    @pytest.mark.parametrize("x", [
+        np.array(-2.5),
+        SIGMOID_EDGES.reshape(3, 4),
+        SIGMOID_EDGES.reshape(1, 3, 2, 2),
+        np.linspace(-800.0, 800.0, 64 * 50).reshape(64, 50),
+        Rng(5).normal(std=40.0, size=(512, 50)),
+    ], ids=["0-d", "edges-2d", "edges-4d", "grid-64x50", "random-512x50"])
+    def test_bits_equal_two_branch_reference(self, x):
+        want = two_branch_sigmoid(x)
+        got = sigmoid(x)
+        assert isinstance(got, np.ndarray) and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_strictly_positive_at_minus_40(self):
+        assert sigmoid(np.array(-40.0)) > 0.0
+
     def test_zero(self):
         assert sigmoid(np.array(0.0)) == 0.5
 

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from highwaynet.data import Dataset
+from highwaynet.data import Dataset, batches
 from highwaynet.init import InitScheme, build_network, init_network
 from highwaynet.layers import network_forward_backward
 from highwaynet.ops import Rng, ShapeError
-from highwaynet.optim import SgdConfig, sgd_step, train
+from highwaynet.optim import SgdConfig, evaluate, sgd_step, train
 
 
 def fresh_velocity(net):
@@ -77,6 +77,26 @@ class TestSgdConfig:
 
     def test_numpy_integers_pass(self):
         assert SgdConfig(0.1, epochs=np.int64(2), batch_size=np.int32(8)).epochs == 2
+
+
+def cached_evaluate(net, ds: Dataset, batch_size: int):
+    """evaluate through the training forward: every layer cache kept and the
+    head's gradients computed, then dropped."""
+    total_loss, correct = 0.0, 0
+    for xb, yb in batches(ds, batch_size):
+        y, _ = net.forward_caches(xb)
+        loss, probs, _, _ = net.head.forward_backward(net._flatten(y), yb)
+        total_loss += loss * xb.shape[0]
+        correct += int((probs.argmax(axis=1) == yb).sum())
+    return total_loss / ds.count, correct / ds.count
+
+
+class TestEvaluate:
+    def test_equals_cached_path(self, small_net):
+        net, x = small_net
+        ds = Dataset(x, Rng(62).integers(3, size=x.shape[0]), 3, "t")
+        # batch 8 leaves a short last batch
+        assert evaluate(net, ds, batch_size=8) == cached_evaluate(net, ds, 8)
 
 
 class TestTrain:
