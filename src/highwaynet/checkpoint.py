@@ -6,7 +6,7 @@ Layout (documented contract, covered by a byte round-trip test):
   bytes 8..11   header length N, little-endian uint32
   bytes 12..12+N  UTF-8 JSON header
   rest          parameter blobs, little-endian float64, concatenated in
-                header order
+                header order: the network's theta vector
 
 The header records the architecture and, per parameter, its name and shape:
 
@@ -43,22 +43,20 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(net: Network, path) -> None:
-    params = net.parameters()
     header = {
         "format": 1,
         "body_kind": net.body_kind,
         "activation": (net.body[0].activation if net.body
                        else net.input_layer.activation),
         "has_input_layer": net.input_layer is not None,
-        "params": [{"name": name, "shape": list(p.shape)} for name, p in params],
+        "params": [{"name": name, "shape": list(p.shape)} for name, p in net.parameters()],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", len(blob)))
         f.write(blob)
-        for _, p in params:
-            f.write(np.ascontiguousarray(p, dtype="<f8").tobytes())
+        f.write(net.theta.astype("<f8", copy=False))
 
 
 def _layout(header: dict, path) -> list:
@@ -103,27 +101,26 @@ def load_checkpoint(path) -> Network:
         raise CheckpointError(f"unsupported checkpoint header format in {path}")
     layout = _layout(header, path)
 
-    offset = 12 + header_len
-    arrays = {}
-    for entry in header["params"]:
-        shape = tuple(entry["shape"])
-        nbytes = math.prod(shape) * 8
-        chunk = raw[offset:offset + nbytes]
-        if len(chunk) != nbytes:
-            raise CheckpointError(f"truncated parameter blob {entry['name']!r} in {path}")
-        arrays[entry["name"]] = np.frombuffer(chunk, dtype="<f8").astype(
-            np.float64).reshape(shape)
-        offset += nbytes
-    if offset != len(raw):
-        raise CheckpointError(f"{len(raw) - offset} trailing bytes in {path}")
+    count = sum(math.prod(entry["shape"]) for entry in header["params"])
+    stored = len(raw) - 12 - header_len
+    if stored < 8 * count:
+        raise CheckpointError(f"truncated parameter blobs in {path}")
+    if stored > 8 * count:
+        raise CheckpointError(f"{stored - 8 * count} trailing bytes in {path}")
 
-    def build(prefix, cls):
-        params = (arrays[f"{prefix}.{n}"] for n in cls.PARAMS)
+    # The layers take zeros of the header's shapes; theta then reads the
+    # blobs, whose order _layout has checked is the network's.
+    shapes = iter(entry["shape"] for entry in header["params"])
+
+    def build(cls):
+        params = (np.zeros(next(shapes)) for _ in cls.PARAMS)
         return SoftmaxHead(*params) if cls is SoftmaxHead else cls(*params, header["activation"])
 
     try:
-        layers = [build(prefix, cls) for prefix, cls in layout]
+        layers = [build(cls) for _, cls in layout]
         input_layer = layers.pop(0) if header["has_input_layer"] else None
-        return Network(input_layer, layers[:-1], layers[-1])
+        net = Network(input_layer, layers[:-1], layers[-1])
     except ValueError as exc:  # ShapeError included
         raise CheckpointError(f"parameters in {path} do not fit together: {exc}") from exc
+    net.theta[...] = np.frombuffer(raw, dtype="<f8", count=count, offset=12 + header_len)
+    return net

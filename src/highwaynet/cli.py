@@ -23,17 +23,20 @@ from . import __version__
 from .analysis import bias_activity_correlation, export_report, gate_report, gate_sparsity
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import Dataset, load_cifar_binary, load_idx, subset, synthetic_digits
-from .init import InitScheme
+from .init import InitScheme, NetworkTemplate
 from .ops import Rng, derive_seed, require_int
 from .optim import SgdConfig, train
-from .search import NetworkTemplate, SearchSpace, run_search, write_search_csv
+from .search import SearchSpace, run_search, write_search_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
-CONFIG_KEYS = ("dataset", "arch", "init", "sgd", "search", "depths", "kinds", "seed", "out_dir")
-DATASET_KEYS = ("name", "seed", "count", "dir", "images", "labels", "paths", "as_images", "subset")
+# The keys a section may hold, each with the type no later check enforces.
+CONFIG_KEYS = {"dataset": object, "arch": object, "init": object, "sgd": object,
+               "search": object, "depths": list, "kinds": list, "seed": object, "out_dir": str}
+DATASET_KEYS = {"name": object, "seed": object, "count": object, "dir": str, "images": str,
+                "labels": str, "paths": list, "as_images": bool, "subset": object}
 
 
 class ConfigError(ValueError):
@@ -41,12 +44,16 @@ class ConfigError(ValueError):
 
 
 def _section(name: str, section, keys) -> dict:
-    """The config object `name`, checked to hold no key outside keys."""
+    """The config object `name`, checked to hold no key outside keys and,
+    where keys maps a key to a type, no value of another type."""
     if not isinstance(section, dict):
         raise ConfigError(f"{name} must be a JSON object, got {section!r}")
     unknown = sorted(set(section) - set(keys))
     if unknown:
         raise ConfigError(f"{name}: unknown key {', '.join(map(repr, unknown))}")
+    for key, value in section.items():
+        if isinstance(keys, dict) and not isinstance(value, keys[key]):
+            raise ConfigError(f"{name}: {key} must be a {keys[key].__name__}, got {value!r}")
     return section
 
 
@@ -98,9 +105,10 @@ def load_dataset(cfg: dict, seed: int) -> Dataset:
         except FileNotFoundError as exc:
             raise ConfigError(f"{exc} (tools/fetch_mnist.py downloads the archives)") from exc
     elif name in ("cifar10", "cifar100"):
-        if not section.get("paths"):
-            raise ConfigError("cifar datasets need dataset.paths = [batch files]")
-        ds = load_cifar_binary(section["paths"], name, as_images=section.get("as_images", False))
+        paths = section.get("paths")
+        if not paths or not all(isinstance(p, str) for p in paths):
+            raise ConfigError(f"cifar datasets need dataset.paths = [batch files], got {paths!r}")
+        ds = load_cifar_binary(paths, name, as_images=section.get("as_images", False))
     else:
         raise ConfigError(f"unknown dataset name: {name!r}")
     if section.get("subset") is not None:
@@ -251,7 +259,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg["seed"] = args.seed
         if args.data_dir is not None:
-            cfg.setdefault("dataset", {})["dir"] = args.data_dir
+            _section("dataset", cfg.setdefault("dataset", {}), DATASET_KEYS)["dir"] = args.data_dir
         if args.command == "train":
             return cmd_train(cfg)
         if args.command == "search":

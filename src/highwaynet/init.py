@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import ConvHighwayLayer, HighwayLayer, Network, PlainLayer, SoftmaxHead
-from .ops import Rng
+from .layers import BODY_KINDS, ConvHighwayLayer, HighwayLayer, Network, PlainLayer, SoftmaxHead
+from .ops import Rng, require_counts, require_int
 
 INIT_KINDS = ("he", "glorot")
 
@@ -95,25 +95,55 @@ def build_network(
     in_features -> width, then depth-1 body layers of that width, then the
     head; depth counts the input layer plus the body.  "conv-highway":
     depth gated conv layers over image_shape = (c, h, w), head on the
-    flattened final map.
+    flattened final map.  NetworkTemplate checks the arguments.
     """
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    if kind in ("plain", "highway"):
-        if width < 1:
-            raise ValueError(f"width must be >= 1, got {width}")
-        input_layer = PlainLayer(np.zeros((width, in_features)), np.zeros(width), activation)
-        square = lambda: (np.zeros((width, width)), np.zeros(width))
-        body = [PlainLayer(*square(), activation) if kind == "plain"
-                else HighwayLayer(*square(), *square(), activation) for _ in range(depth - 1)]
-        head = SoftmaxHead(np.zeros((classes, width)), np.zeros(classes))
-        return Network(input_layer, body, head)
-    if kind == "conv-highway":
-        if image_shape is None:
-            raise ValueError("conv-highway networks need image_shape=(c, h, w)")
+    NetworkTemplate(kind, depth, width, in_features, classes, image_shape=image_shape,
+                    kernel_size=kernel_size)
+    if kind == ConvHighwayLayer.KIND:
         c, h, w = image_shape
         kernel = lambda: (np.zeros((c, c, kernel_size, kernel_size)), np.zeros(c))
         body = [ConvHighwayLayer(*kernel(), *kernel(), activation) for _ in range(depth)]
         head = SoftmaxHead(np.zeros((classes, c * h * w)), np.zeros(classes))
         return Network(None, body, head)
-    raise ValueError(f"unknown network kind: {kind!r}")
+    input_layer = PlainLayer(np.zeros((width, in_features)), np.zeros(width), activation)
+    square = lambda: (np.zeros((width, width)), np.zeros(width))
+    body = [PlainLayer(*square(), activation) if kind == PlainLayer.KIND
+            else HighwayLayer(*square(), *square(), activation) for _ in range(depth - 1)]
+    head = SoftmaxHead(np.zeros((classes, width)), np.zeros(classes))
+    return Network(input_layer, body, head)
+
+
+@dataclass(frozen=True)
+class NetworkTemplate:
+    """build_network's arguments, and the one place they are checked; a
+    search's trials share a template and draw activation and gate bias."""
+    kind: str                # "plain" | "highway" | "conv-highway"
+    depth: int
+    width: int               # unused by conv bodies, which keep the image's channels
+    in_features: int         # unused by conv bodies
+    classes: int
+    init_kind: str = "he"
+    image_shape: tuple | None = None
+    kernel_size: int = 3
+
+    def __post_init__(self):
+        if self.kind not in BODY_KINDS:
+            raise ValueError(f"unknown network kind: {self.kind!r}")
+        require_counts(self, "depth", "classes", "kernel_size")
+        if self.kind == ConvHighwayLayer.KIND:
+            shape = self.image_shape
+            if not isinstance(shape, (tuple, list)) or len(shape) != 3:
+                raise ValueError(f"conv-highway needs image_shape = (c, h, w), got {shape!r}")
+            for value in shape:
+                require_int("image_shape", value)
+            require_counts(self, "width", least=0)  # conv templates carry width 0
+        else:
+            require_counts(self, "width", "in_features")
+
+    def build(self, activation: str, gate_bias: float | None, init_seed: int):
+        """A freshly initialized network; gate_bias None takes InitScheme's default."""
+        net = build_network(self.kind, self.depth, self.width, self.in_features,
+                            self.classes, activation,
+                            image_shape=self.image_shape, kernel_size=self.kernel_size)
+        bias = {} if gate_bias is None else {"gate_bias": gate_bias}
+        return init_network(net, InitScheme(self.init_kind, rng_seed=init_seed, **bias))

@@ -348,6 +348,17 @@ class Network:
                     )
             if head.in_width != width:
                 raise ShapeError(f"head expects width {width}, has {head.in_width}")
+        # theta holds every parameter in parameters() order, and each layer
+        # tensor becomes its view (a layer belongs to the last network built).
+        layers = self._named_layers() + [("head", head)]
+        tensors = [p for _, layer in layers for _, p in layer.parameters()]
+        self.theta = np.concatenate(tensors, axis=None)
+        self._parameters, offset = [], 0
+        for prefix, layer in layers:
+            for n, p in layer.parameters():
+                setattr(layer, n, self.theta[offset:offset + p.size].reshape(p.shape))
+                self._parameters.append((f"{prefix}.{n}", getattr(layer, n)))
+                offset += p.size
 
     @property
     def is_conv(self) -> bool:
@@ -385,26 +396,24 @@ class Network:
         return self.head.probabilities(self.forward(x))
 
     def parameters(self):
-        """All parameter tensors as (name, array), in forward order."""
-        layers = self._named_layers() + [("head", self.head)]
-        return [(f"{prefix}.{n}", p) for prefix, layer in layers for n, p in layer.parameters()]
+        """All parameter tensors as (name, view of theta), in forward order."""
+        return list(self._parameters)
 
 
 def network_forward_backward(net: Network, x_batch: np.ndarray, labels: np.ndarray):
     """One forward and one reverse sweep; gradients for every parameter.
 
-    Returns (loss, grads) with grads keyed like net.parameters().
+    Returns (loss, grads): fresh arrays keyed and ordered like net.parameters().
     """
     y, caches = net.forward_caches(x_batch)
-    flat = net._flatten(y)
-    loss, _, d_flat, head_grads = net.head.forward_backward(flat, labels)
-    grads = {f"head.{n}": g for n, g in head_grads.items()}
+    loss, _, d_flat, head_grads = net.head.forward_backward(net._flatten(y), labels)
     dL = d_flat.reshape(y.shape)
-    for name, layer, cache in reversed(caches):
-        dL, layer_grads = layer.backward(cache, dL)
-        for n, g in layer_grads.items():
-            grads[f"{name}.{n}"] = g
-    return loss, grads
+    layer_grads = [(net.head, head_grads)]
+    for _, layer, cache in reversed(caches):
+        dL, grads = layer.backward(cache, dL)
+        layer_grads.append((layer, grads))
+    tensors = (grads[n] for layer, grads in reversed(layer_grads) for n in layer.PARAMS)
+    return loss, {name: g for (name, _), g in zip(net._parameters, tensors, strict=True)}
 
 
 def count_parameters(net_or_layer) -> int:

@@ -130,6 +130,14 @@ def derive_seed(master: int, index: int) -> int:
     return int(np.uint64(master & _MASK64) ^ _mix64(idx[None])[0])
 
 
+def _sized(size, fill):
+    """fill(n) for the n values `size` asks for, shaped by it: one scalar
+    for None or (), else an array of shape size (an int or a tuple)."""
+    shape = () if size is None else tuple(np.atleast_1d(size)) if not np.isscalar(size) else (size,)
+    out = fill(int(np.prod(shape)))
+    return out.reshape(shape) if shape else out[0]
+
+
 class Rng:
     """Single-owner deterministic random stream.
 
@@ -153,11 +161,8 @@ class Rng:
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None) -> np.ndarray:
         """Uniform draws in [low, high); scalar ndarray if size is None."""
-        shape = () if size is None else tuple(np.atleast_1d(size)) if not np.isscalar(size) else (size,)
-        n = int(np.prod(shape)) if shape else 1
-        u = (self._raw(n) >> np.uint64(11)) * (2.0 ** -53)
-        out = low + (high - low) * u
-        return out.reshape(shape) if shape else out[0]
+        return _sized(size, lambda n: low + (high - low) * (
+            (self._raw(n) >> np.uint64(11)) * (2.0 ** -53)))
 
     def normal(self, mean: float = 0.0, std: float = 1.0, size=None) -> np.ndarray:
         """Gaussian draws via Box-Muller.
@@ -165,15 +170,13 @@ class Rng:
         Each draw consumes exactly two counter positions, so a fill is
         bit-identical however the calls are chunked.
         """
-        shape = () if size is None else tuple(np.atleast_1d(size)) if not np.isscalar(size) else (size,)
-        n = int(np.prod(shape)) if shape else 1
-        block = self._raw(2 * n)
-        # u1 in (0, 1] so log never sees zero
-        u1 = ((block[0::2] >> np.uint64(11)) + np.uint64(1)) * (2.0 ** -53)
-        u2 = (block[1::2] >> np.uint64(11)) * (2.0 ** -53)
-        z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-        out = mean + std * z
-        return out.reshape(shape) if shape else out[0]
+        def fill(n):
+            block = self._raw(2 * n)
+            # u1 in (0, 1] so log never sees zero
+            u1 = ((block[0::2] >> np.uint64(11)) + np.uint64(1)) * (2.0 ** -53)
+            u2 = (block[1::2] >> np.uint64(11)) * (2.0 ** -53)
+            return mean + std * (np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2))
+        return _sized(size, fill)
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n): argsort of random keys."""
@@ -181,10 +184,8 @@ class Rng:
 
     def integers(self, upper: int, size=None) -> np.ndarray:
         """Draws in [0, upper) by modular reduction (upper << 2^64)."""
-        shape = () if size is None else tuple(np.atleast_1d(size)) if not np.isscalar(size) else (size,)
-        n = int(np.prod(shape)) if shape else 1
-        v = (self._raw(n) % np.uint64(upper)).astype(np.int64)
-        return v.reshape(shape) if shape else int(v[0])
+        v = _sized(size, lambda n: (self._raw(n) % np.uint64(upper)).astype(np.int64))
+        return v if isinstance(v, np.ndarray) else int(v)
 
     def choice(self, options):
         """Pick one element of a sequence."""

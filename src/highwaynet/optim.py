@@ -67,16 +67,14 @@ class TrainLog:
                 f.write(f"{e.epoch},{e.loss!r},{e.accuracy!r},{e.lr!r},{e.seconds!r}\n")
 
 
-def sgd_step(params, grads: dict, velocity: dict, lr: float, momentum: float) -> None:
-    """One heavy-ball update per tensor: v <- momentum*v - lr*g; w <- w + v."""
-    for name, p in params:
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ShapeError(f"gradient {name} has shape {g.shape}, parameter {p.shape}")
-        v = velocity[name]
-        v *= momentum
-        v -= lr * g
-        p += v
+def sgd_step(theta, grad, velocity, lr: float, momentum: float) -> None:
+    """One heavy-ball update of flat vectors, in place:
+    v <- momentum*v - lr*g; theta <- theta + v."""
+    if not theta.shape == grad.shape == velocity.shape:
+        raise ShapeError(f"sgd_step shapes disagree: {theta.shape}, {grad.shape}, {velocity.shape}")
+    velocity *= momentum
+    velocity -= lr * grad
+    theta += velocity
 
 
 def evaluate(net: Network, ds: Dataset, batch_size: int = 512):
@@ -97,8 +95,8 @@ def train(net: Network, ds: Dataset, cfg: SgdConfig, rng: Rng):
     exactly), and wall time.  A non-finite minibatch loss stops the run and
     flags the log as diverged.
     """
-    velocity = {name: np.zeros_like(p) for name, p in net.parameters()}
-    params = net.parameters()
+    velocity = np.zeros_like(net.theta)
+    grad = np.empty_like(net.theta)
     log = TrainLog()
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for epoch in range(cfg.epochs):
@@ -109,7 +107,8 @@ def train(net: Network, ds: Dataset, cfg: SgdConfig, rng: Rng):
                 if not np.isfinite(loss):
                     log.diverged = True
                     return net, log
-                sgd_step(params, grads, velocity, lr, cfg.momentum)
+                np.concatenate(list(grads.values()), axis=None, out=grad)
+                sgd_step(net.theta, grad, velocity, lr, cfg.momentum)
             epoch_loss, epoch_acc = evaluate(net, ds)
             seconds = time.perf_counter() - started
             if not np.isfinite(epoch_loss):

@@ -11,13 +11,13 @@ standalone and parallel execution cannot change the outcome.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .data import Dataset
-from .init import InitScheme, build_network, init_network
-from .layers import BODY_KINDS
-from .ops import ACTIVATIONS, Rng, derive_seed, require_counts, require_int
+from .init import NetworkTemplate
+from .ops import ACTIVATIONS, Rng, derive_seed, require_counts
 from .optim import SgdConfig, TrainLog, train
 
 
@@ -37,8 +37,9 @@ class SearchSpace:
         ranges = ("lr0", "momentum", "decay") + (() if self.gate_bias is None else ("gate_bias",))
         for name in ranges:
             bounds = getattr(self, name)
-            if not (isinstance(bounds, tuple) and len(bounds) == 2 and bounds[0] <= bounds[1]):
-                raise ValueError(f"{name} must be a non-empty (low, high) range, got {bounds!r}")
+            if not (isinstance(bounds, tuple) and len(bounds) == 2 and all(
+                    isinstance(b, numbers.Real) for b in bounds) and bounds[0] <= bounds[1]):
+                raise ValueError(f"{name} must be a (low, high) range of numbers, got {bounds!r}")
         if not self.lr0[0] > 0:
             raise ValueError(f"lr0 range must be positive for log-uniform sampling: {self.lr0}")
         if not self.activations or not set(self.activations) <= set(ACTIVATIONS):
@@ -72,39 +73,6 @@ class TrialResult:
     best_loss: float
     final_loss: float
     log: TrainLog
-
-
-@dataclass(frozen=True)
-class NetworkTemplate:
-    """Architecture shared by every trial; activation/bias come per config."""
-    kind: str                # "plain" | "highway" | "conv-highway"
-    depth: int
-    width: int
-    in_features: int
-    classes: int
-    init_kind: str = "he"
-    image_shape: tuple | None = None
-    kernel_size: int = 3
-
-    def __post_init__(self):
-        if self.kind not in BODY_KINDS:
-            raise ValueError(f"unknown network kind: {self.kind!r}")
-        if self.kind == "conv-highway":
-            shape = self.image_shape
-            if not isinstance(shape, (tuple, list)) or len(shape) != 3:
-                raise ValueError(f"conv-highway needs image_shape = (c, h, w), got {shape!r}")
-            for value in shape:
-                require_int("image_shape", value)
-        require_counts(self, "depth", "kernel_size")
-        require_counts(self, "width", least=0)  # conv templates carry width 0
-
-    def build(self, activation: str, gate_bias: float | None, init_seed: int):
-        """A freshly initialized network; gate_bias None takes InitScheme's default."""
-        net = build_network(self.kind, self.depth, self.width, self.in_features,
-                            self.classes, activation,
-                            image_shape=self.image_shape, kernel_size=self.kernel_size)
-        bias = {} if gate_bias is None else {"gate_bias": gate_bias}
-        return init_network(net, InitScheme(self.init_kind, rng_seed=init_seed, **bias))
 
 
 def sample_config(space: SearchSpace, rng: Rng) -> TrainConfig:

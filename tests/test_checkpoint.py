@@ -95,6 +95,15 @@ class TestRoundTrip:
             assert param.tobytes() == original[name].tobytes(), name
         assert restored.is_conv
 
+    def test_blob_region_is_theta(self, tmp_path, small_net):
+        net, _ = small_net
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(net, path)
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack("<I", raw[8:12])
+        assert raw[12 + header_len:] == net.theta.astype("<f8").tobytes()
+        assert load_checkpoint(path).theta.tobytes() == net.theta.tobytes()
+
     def test_activation_preserved(self, tmp_path):
         net = make_net()
         save_checkpoint(net, tmp_path / "m.ckpt")

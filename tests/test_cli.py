@@ -4,8 +4,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from highwaynet.cli import main
+from highwaynet.data import Dataset, save_cifar_binary
+from highwaynet.ops import Rng
 
 
 def write_config(path, **overrides):
@@ -67,6 +71,15 @@ MALFORMED = {
                           {"arch": {**CONV, "image_shape": [1, 28.0, 28]}}),
     "image-shape-two": ("train", "arch", "image_shape", {"arch": {**CONV, "image_shape": [28, 28]}}),
     "image-shape-int": ("train", "arch", "image_shape", {"arch": {**CONV, "image_shape": 784}}),
+    "search-range-strings": ("search", "search", "momentum",
+                             {"search": {**SEARCH, "momentum": ["a", "b"]}}),
+    "mnist-dir-int": ("train", "dataset", "dir", {"dataset": {"name": "mnist", "dir": 5}}),
+    "mnist-images-list": ("train", "dataset", "images",
+                          {"dataset": {"name": "mnist", "images": ["x"]}}),
+    "cifar-paths-int": ("train", "dataset", "paths", {"dataset": {"name": "cifar10", "paths": [7]}}),
+    "cifar-as-images-string": ("train", "dataset", "as_images",
+                               {"dataset": {"name": "cifar10", "paths": ["a"], "as_images": "no"}}),
+    "out-dir-int": ("train", "config", "out_dir", {"out_dir": 5}),
 }
 
 
@@ -131,6 +144,11 @@ class TestTrain:
         assert code == 2
         assert "elsewhere" in capsys.readouterr().err
 
+    def test_data_dir_flag_with_a_dataset_that_is_no_object(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", dataset=[1], out_dir=str(tmp_path / "run"))
+        assert main(["train", "--config", str(cfg), "--data-dir", str(tmp_path)]) == 2
+        assert "dataset" in capsys.readouterr().err
+
     def test_jobs_flag_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", out_dir=str(tmp_path / "run"))
         with pytest.raises(SystemExit) as exc:
@@ -156,7 +174,7 @@ class TestMalformedConfig:
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_exit_2_names_section_and_key(self, tmp_path, capsys, case):
         command, section, key, overrides = MALFORMED[case]
-        cfg = write_config(tmp_path / "c.json", out_dir=str(tmp_path / "run"), **overrides)
+        cfg = write_config(tmp_path / "c.json", **{"out_dir": str(tmp_path / "run"), **overrides})
         assert main([command, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert re.search(rf"\b{section}\b", err) and re.search(rf"\b{key}\b", err), err
@@ -251,3 +269,92 @@ class TestManifest:
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
         assert manifest["config"]["arch"]["depth"] == 3
         assert manifest["config"]["sgd"]["lr0"] == 0.05
+
+
+# The configs the fuzz below starts from: every section present and each run
+# tiny (48 samples, 1 epoch).  Mutated integers stay in [-3, 8] so that no
+# draw asks for a large dataset, network or search.
+FUZZ_BASE = {
+    "dataset": {"name": "synthetic", "count": 48, "seed": 3},
+    "arch": {"kind": "highway", "depth": 3, "width": 6, "activation": "relu"},
+    "init": {"kind": "he", "gate_bias": -2.0},
+    "sgd": {"lr0": 0.05, "momentum": 0.9, "decay": 0.95, "epochs": 1, "batch_size": 16},
+    "search": {"trials": 2, "epochs": 1, "batch_size": 16},
+    "depths": [2, 3],
+    "kinds": ["plain", "highway"],
+    "seed": 5,
+    "out_dir": "out",
+}
+FUZZ_BASES = (
+    FUZZ_BASE,
+    {**FUZZ_BASE, "arch": {"kind": "conv-highway", "depth": 1, "image_shape": [1, 28, 28],
+                           "activation": "tanh"}},
+    {**FUZZ_BASE, "dataset": {"name": "cifar10", "paths": ["cifar.bin"], "as_images": False}},
+    {**FUZZ_BASE, "dataset": {"name": "mnist", "dir": "data", "subset": 8}},
+)
+FUZZ_WORDS = ("relu", "tanh", "identity", "plain", "highway", "conv-highway", "he", "glorot",
+              "synthetic", "mnist", "cifar10", "cifar100", "cifar.bin", "count", "depth")
+FUZZ_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 8) | st.floats() | st.text(max_size=6)
+    | st.sampled_from(FUZZ_WORDS),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.text(max_size=6) | st.sampled_from(FUZZ_WORDS), inner, max_size=3),
+    max_leaves=5)
+
+
+def value_nodes(node):
+    yield node
+    if isinstance(node, (dict, list)):
+        for child in node.values() if isinstance(node, dict) else node:
+            yield from value_nodes(child)
+
+
+def mutate(cfg: dict, data) -> None:
+    """One drawn edit of cfg in place: a value replaced, a key deleted or an
+    unknown key added, anywhere in the config."""
+    holders = [node for node in value_nodes(cfg) if isinstance(node, (dict, list)) and node]
+    node = data.draw(st.sampled_from(holders))
+    key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+    edit = data.draw(st.sampled_from(["replace", "delete", "add"]))
+    if edit == "replace" or isinstance(node, list):
+        node[key] = data.draw(FUZZ_VALUES)
+    elif edit == "delete":
+        del node[key]
+    else:
+        node[data.draw(st.text(max_size=6) | st.sampled_from(FUZZ_WORDS))] = data.draw(FUZZ_VALUES)
+
+
+class TestConfigFuzz:
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                     HealthCheck.too_slow])
+    @given(command=st.sampled_from(["train", "search", "sweep", "analyze"]),
+           base=st.sampled_from(FUZZ_BASES), edits=st.integers(1, 3),
+           data_dir=st.none() | st.sampled_from(["data", "elsewhere"]), data=st.data())
+    def test_exit_code_is_0_2_or_3(self, tmp_path, monkeypatch, capsys, command, base, edits,
+                                   data_dir, data):
+        """Whatever a config holds, the CLI ends with exit 0, 2 or 3 and no
+        traceback (an escaping exception would exit 1)."""
+        monkeypatch.chdir(tmp_path)  # the relative paths in a config resolve here
+        if not os.path.exists("cifar.bin"):
+            save_cifar_binary(Dataset(Rng(4).uniform(size=(48, 3072)),
+                                      Rng(5).integers(10, size=48), 10, "cifar10"), "cifar.bin")
+        cfg = json.loads(json.dumps(base))
+        for _ in range(edits):
+            mutate(cfg, data)
+        with open("c.json", "w") as f:
+            json.dump(cfg, f)
+        argv = [command, "--config", "c.json"] + (["--data-dir", data_dir] if data_dir else [])
+        if command == "analyze":
+            argv += ["--checkpoint", str(self.checkpoint(tmp_path))]
+        assert main(argv) in (0, 2, 3)
+        assert "Traceback" not in capsys.readouterr().err
+
+    @staticmethod
+    def checkpoint(tmp_path):
+        path = tmp_path / "fuzz.ckpt"
+        if not path.exists():
+            cfg = write_config(tmp_path / "base.json", **FUZZ_BASE)
+            assert main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "ckpt")]) == 0
+            os.replace(tmp_path / "ckpt" / "model.ckpt", path)
+        return path

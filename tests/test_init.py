@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from highwaynet.init import InitScheme, build_network, init_network, init_std, init_weights
+from highwaynet.init import (
+    InitScheme,
+    NetworkTemplate,
+    build_network,
+    init_network,
+    init_std,
+    init_weights,
+)
 from highwaynet.ops import Rng, sigmoid
 
 
@@ -115,3 +122,33 @@ class TestDepthPropagation:
         assert mean_ratios.min() > 0.1
         assert mean_ratios.max() < 10.0
         assert np.mean(cumulative_floor) > 0.005
+
+
+# build_network arguments (kind, depth, width, in_features, classes) and
+# keywords that describe no network, with a word the message must hold.
+BAD_ARCHITECTURES = {
+    "depth-float": (("highway", 3.0, 5, 4, 3), {}, "depth"),
+    "depth-bool": (("highway", True, 5, 4, 3), {}, "depth"),
+    "depth-zero": (("plain", 0, 5, 4, 3), {}, "depth"),
+    "width-zero": (("highway", 3, 0, 4, 3), {}, "width"),
+    "width-float": (("plain", 3, 5.0, 4, 3), {}, "width"),
+    "in-features-float": (("highway", 3, 5, 4.0, 3), {}, "in_features"),
+    "classes-zero": (("highway", 3, 5, 4, 0), {}, "classes"),
+    "kind": (("resnet", 3, 5, 4, 3), {}, "kind"),
+    "conv-no-image": (("conv-highway", 2, 0, 0, 3), {}, "image_shape"),
+    "conv-image-float": (("conv-highway", 2, 0, 0, 3), {"image_shape": (1, 4.0, 4)},
+                         "image_shape"),
+    "conv-kernel-float": (("conv-highway", 2, 0, 0, 3),
+                          {"image_shape": (1, 4, 4), "kernel_size": 3.0}, "kernel_size"),
+}
+
+
+class TestBuildNetworkChecks:
+    @pytest.mark.parametrize("case", sorted(BAD_ARCHITECTURES))
+    def test_same_value_error_as_network_template(self, case):
+        args, kwargs, word = BAD_ARCHITECTURES[case]
+        with pytest.raises(ValueError, match=word) as built:
+            build_network(*args, **kwargs)
+        with pytest.raises(ValueError) as templated:
+            NetworkTemplate(*args, **kwargs)
+        assert str(built.value) == str(templated.value)

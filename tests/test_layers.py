@@ -340,6 +340,37 @@ class TestNetwork:
             for name, param in net.parameters():
                 assert max_relative_error(grads[name], numerical_gradient(f, param)) < 1e-6
 
+    def test_parameters_are_views_of_theta(self, small_net):
+        net, _ = small_net
+        offset = 0
+        for name, p in net.parameters():
+            assert p.base is net.theta, name
+            assert p.ctypes.data == net.theta.ctypes.data + 8 * offset, name
+            offset += p.size
+        assert offset == net.theta.size == count_parameters(net)
+        layer_tensors = [getattr(layer, n) for layer in [net.input_layer, *net.body, net.head]
+                         if layer is not None for n in layer.PARAMS]
+        assert all(a is b for a, (_, b) in zip(layer_tensors, net.parameters(), strict=True))
+
+    def test_write_through_a_view_changes_theta(self, small_net):
+        net, x = small_net
+        before = net.forward(x)
+        (_, first), (_, last) = net.parameters()[0], net.parameters()[-1]
+        first.flat[0] += 1.0
+        last[...] = 7.0
+        assert net.theta[0] == first.flat[0]
+        assert np.all(net.theta[-last.size:] == 7.0)
+        assert not np.array_equal(net.forward(x), before)
+
+    def test_gradients_survive_a_second_call(self, small_net):
+        net, x = small_net
+        labels = Rng(63).integers(3, size=x.shape[0])
+        _, grads = network_forward_backward(net, x, labels)
+        assert list(grads) == [name for name, _ in net.parameters()]
+        kept = {name: g.copy() for name, g in grads.items()}
+        network_forward_backward(net, x[::-1].copy(), labels)
+        assert all(np.array_equal(grads[name], kept[name]) for name in kept)
+
     def test_heterogeneous_body_rejected(self):
         with pytest.raises(ShapeError, match="homogeneous"):
             Network(

@@ -132,6 +132,31 @@ class TestActivations:
 
 
 class TestRng:
+    def test_first_draws_are_pinned(self):
+        """The stream itself, for seed 2026: a change to _raw or to a draw's
+        arithmetic fails here, where same-code comparisons cannot see it."""
+        r = Rng(2026)
+        assert r.uniform(-1.0, 2.0, size=3).tolist() == [
+            1.5735626690336546, 0.41488215182437127, 1.0020348656486537]
+        assert r.normal(0.5, 2.0, size=(2, 2)).tolist() == [
+            [1.2143882556008603, 2.029927668832457],
+            [-0.17033368128678417, -1.2478647708401482]]
+        assert r.integers(10, size=4).tolist() == [0, 2, 7, 1]
+        assert r.permutation(6).tolist() == [0, 1, 2, 4, 3, 5]
+        assert r.uniform() == 0.6518054188393808
+        assert r.normal() == 0.5006775583643748
+        assert r.integers(7) == 1
+
+    @pytest.mark.parametrize("method", ["uniform", "normal", "integers"])
+    @pytest.mark.parametrize("size, shape", [(None, ()), ((), ()), (3, (3,)), (np.int64(3), (3,)),
+                                             ([2, 3], (2, 3)), ((0, 3), (0, 3))])
+    def test_size_forms(self, method, size, shape):
+        args = (5,) if method == "integers" else ()
+        value = getattr(Rng(8), method)(*args, size=size)
+        assert np.shape(value) == shape
+        if shape == ():
+            assert type(value) is (int if method == "integers" else np.float64)
+
     def test_same_seed_identical_fills(self):
         a = Rng(987).normal(size=(10, 7))
         b = Rng(987).normal(size=(10, 7))

@@ -8,39 +8,35 @@ from highwaynet.ops import Rng, ShapeError
 from highwaynet.optim import SgdConfig, evaluate, sgd_step, train
 
 
-def fresh_velocity(net):
-    return {name: np.zeros_like(p) for name, p in net.parameters()}
-
-
 class TestSgdStep:
     def test_hand_example(self):
         w = np.array([1.0])
         v = np.array([0.0])
-        sgd_step([("w", w)], {"w": np.array([0.5])}, {"w": v}, lr=0.1, momentum=0.9)
+        sgd_step(w, np.array([0.5]), v, lr=0.1, momentum=0.9)
         assert v[0] == pytest.approx(-0.05)
         assert w[0] == pytest.approx(0.95)
 
     def test_zero_momentum_is_plain_sgd(self):
         w = np.array([2.0, -1.0])
         g = np.array([0.5, 0.25])
-        sgd_step([("w", w)], {"w": g}, {"w": np.zeros(2)}, lr=0.2, momentum=0.0)
+        sgd_step(w, g, np.zeros(2), lr=0.2, momentum=0.0)
         assert np.allclose(w, np.array([2.0, -1.0]) - 0.2 * g)
 
     def test_velocity_decays_geometrically_without_gradient(self):
         w = np.zeros(1)
         v = np.array([1.0])
         for step in range(5):
-            sgd_step([("w", w)], {"w": np.zeros(1)}, {"w": v}, lr=0.1, momentum=0.5)
+            sgd_step(w, np.zeros(1), v, lr=0.1, momentum=0.5)
             assert v[0] == pytest.approx(0.5 ** (step + 1))
 
     def test_zero_lr_leaves_parameters_unchanged(self):
         w = np.array([3.0])
-        sgd_step([("w", w)], {"w": np.array([10.0])}, {"w": np.zeros(1)}, lr=0.0, momentum=0.9)
+        sgd_step(w, np.array([10.0]), np.zeros(1), lr=0.0, momentum=0.9)
         assert w[0] == 3.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            sgd_step([("w", np.zeros(2))], {"w": np.zeros(3)}, {"w": np.zeros(2)}, 0.1, 0.9)
+            sgd_step(np.zeros(2), np.zeros(3), np.zeros(2), 0.1, 0.9)
 
 
 class TestDescentProperty:
@@ -51,7 +47,8 @@ class TestDescentProperty:
             x = Rng(seed + 10).normal(size=(12, 5))
             labels = Rng(seed + 20).integers(3, size=12)
             loss_before, grads = network_forward_backward(net, x, labels)
-            sgd_step(net.parameters(), grads, fresh_velocity(net), lr=1e-4, momentum=0.0)
+            grad = np.concatenate([grads[name] for name, _ in net.parameters()], axis=None)
+            sgd_step(net.theta, grad, np.zeros_like(net.theta), lr=1e-4, momentum=0.0)
             loss_after, _ = network_forward_backward(net, x, labels)
             assert loss_after < loss_before
 
@@ -99,7 +96,32 @@ class TestEvaluate:
         assert evaluate(net, ds, batch_size=8) == cached_evaluate(net, ds, 8)
 
 
+def per_tensor_train(net, ds: Dataset, cfg: SgdConfig, rng: Rng):
+    """train's updates, one tensor at a time through a velocity dict."""
+    velocity = {name: np.zeros_like(p) for name, p in net.parameters()}
+    for epoch in range(cfg.epochs):
+        lr = cfg.lr0 * cfg.decay ** epoch
+        for xb, yb in batches(ds, cfg.batch_size, rng):
+            _, grads = network_forward_backward(net, xb, yb)
+            for name, p in net.parameters():
+                v = velocity[name]
+                v *= cfg.momentum
+                v -= lr * grads[name]
+                p += v
+
+
 class TestTrain:
+    @pytest.mark.parametrize("kind", ["plain", "highway"])
+    def test_flat_updates_equal_per_tensor_updates(self, toy_two_class, kind):
+        cfg = SgdConfig(0.05, 0.9, 0.9, epochs=3, batch_size=16)
+        nets = []
+        for _ in range(2):
+            net = build_network(kind, 3, 5, 4, 2, "relu")
+            nets.append(init_network(net, InitScheme("he", -1.0, 12)))
+        train(nets[0], toy_two_class, cfg, Rng(13))
+        per_tensor_train(nets[1], toy_two_class, cfg, Rng(13))
+        assert nets[0].theta.tobytes() == nets[1].theta.tobytes()
+
     def test_separable_toy_reaches_full_accuracy(self, toy_two_class):
         net = build_network("highway", 2, 8, 4, 2, "tanh")
         init_network(net, InitScheme("he", -1.0, 5))
