@@ -25,8 +25,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .data import Dataset, load_cifar_binary, load_idx, subset, synthetic_digits
 from .init import InitScheme, NetworkTemplate
 from .ops import Rng, derive_seed, require_int
-from .optim import SgdConfig, train
-from .search import SearchSpace, run_search, write_search_csv
+from .search import SearchSpace, TrainConfig, config_cells, fit, run_search, write_search_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -36,7 +35,7 @@ EXIT_DIVERGED = 3
 CONFIG_KEYS = {"dataset": object, "arch": object, "init": object, "sgd": object,
                "search": object, "depths": list, "kinds": list, "seed": object, "out_dir": str}
 DATASET_KEYS = {"name": object, "seed": object, "count": object, "dir": str, "images": str,
-                "labels": str, "paths": list, "as_images": bool, "subset": object}
+                "labels": str, "paths": list, "subset": object}
 
 
 class ConfigError(ValueError):
@@ -108,7 +107,7 @@ def load_dataset(cfg: dict, seed: int) -> Dataset:
         paths = section.get("paths")
         if not paths or not all(isinstance(p, str) for p in paths):
             raise ConfigError(f"cifar datasets need dataset.paths = [batch files], got {paths!r}")
-        ds = load_cifar_binary(paths, name, as_images=section.get("as_images", False))
+        ds = load_cifar_binary(paths, name)
     else:
         raise ConfigError(f"unknown dataset name: {name!r}")
     if section.get("subset") is not None:
@@ -126,18 +125,17 @@ def _write_manifest(out_dir: str, command: str, cfg: dict, seed: int) -> None:
 
 def _setup(cfg: dict, command: str):
     """What train, search and sweep share: the seed, the output directory,
-    the dataset (flat for dense networks, [count, c, h, w] for conv), the
-    NetworkTemplate fitted to it, and template.build's arguments for the one
-    network `train` trains."""
+    the dataset (flat for dense networks, [count, c, h, w] for conv) and the
+    NetworkTemplate fitted to it."""
     seed = _integer("config", "seed", cfg.get("seed", 0), least=None)
-    scheme = _build(InitScheme, "init", cfg.get("init", {}), rng_seed=derive_seed(seed, 1))
+    # rng_seed is a run field: search.fit derives each run's init seed
+    scheme = _build(InitScheme, "init", cfg.get("init", {}), rng_seed=0)
     arch = cfg.get("arch", {})
     if isinstance(arch, dict) and arch.get("kind") == "conv-highway":
         arch = {"width": 0, **arch}  # unused by conv layers, which keep the image's channels
     ds = load_dataset(cfg, seed)
     template = _build(NetworkTemplate, "arch", arch, "activation", in_features=ds.features,
                       classes=ds.num_classes, init_kind=scheme.kind)
-    ds = ds.flattened()
     if template.kind == "conv-highway":
         if ds.features != math.prod(template.image_shape):
             raise ConfigError(f"dataset features {ds.features} do not fill image "
@@ -145,15 +143,16 @@ def _setup(cfg: dict, command: str):
         ds = replace(ds, inputs=ds.inputs.reshape(-1, *template.image_shape))
     out_dir = cfg.get("out_dir", f"runs/{command}")
     os.makedirs(out_dir, exist_ok=True)
-    return seed, out_dir, ds, template, (arch.get("activation", "relu"), scheme.gate_bias,
-                                         scheme.rng_seed)
+    return seed, out_dir, ds, template
 
 
 def cmd_train(cfg: dict) -> int:
-    config = _build(SgdConfig, "sgd", cfg.get("sgd", {}))
-    seed, out_dir, ds, template, build_args = _setup(cfg, "train")
-    net = template.build(*build_args)
-    _, log = train(net, ds, config, Rng(derive_seed(seed, 2)))
+    # The run fields come from the arch and init sections, which _setup checks.
+    arch, init = (s if isinstance(s, dict) else {} for s in (cfg.get("arch"), cfg.get("init")))
+    config = _build(TrainConfig, "sgd", cfg.get("sgd", {}),
+                    activation=arch.get("activation", "relu"), gate_bias=init.get("gate_bias"))
+    seed, out_dir, ds, template = _setup(cfg, "train")
+    net, log = fit(template, ds, config, seed)
 
     log.write_csv(os.path.join(out_dir, "log.csv"))
     save_checkpoint(net, os.path.join(out_dir, "model.ckpt"))
@@ -168,7 +167,7 @@ def cmd_train(cfg: dict) -> int:
 
 def cmd_search(cfg: dict, jobs: int = 1) -> int:
     space = _build(SearchSpace, "search", cfg.get("search", {}))
-    seed, out_dir, ds, template, _ = _setup(cfg, "search")
+    seed, out_dir, ds, template = _setup(cfg, "search")
     results = run_search(space, template, ds, seed, jobs=jobs)
     write_search_csv(results, os.path.join(out_dir, "search.csv"))
     _write_manifest(out_dir, "search", cfg, seed)
@@ -182,7 +181,7 @@ def cmd_sweep(cfg: dict, jobs: int = 1) -> int:
     if not cfg.get("depths"):
         raise ConfigError("sweep needs a non-empty 'depths' list")
     space = _build(SearchSpace, "search", cfg.get("search", {}))
-    seed, out_dir, ds, base, _ = _setup(cfg, "sweep")
+    seed, out_dir, ds, base = _setup(cfg, "sweep")
     try:  # check every (kind, depth) before the first search starts
         templates = [replace(base, kind=kind, depth=depth)
                      for kind in cfg.get("kinds", [base.kind]) for depth in cfg["depths"]]
@@ -201,10 +200,8 @@ def cmd_sweep(cfg: dict, jobs: int = 1) -> int:
         f.write("kind,depth,status,best_loss,final_loss,lr0,momentum,decay,"
                 "activation,gate_bias,seed\n")
         for kind, depth, best in rows:
-            c = best.config
-            gate = "" if c.gate_bias is None else repr(c.gate_bias)
             f.write(f"{kind},{depth},{best.status},{best.best_loss!r},{best.final_loss!r},"
-                    f"{c.lr0!r},{c.momentum!r},{c.decay!r},{c.activation},{gate},{best.seed}\n")
+                    f"{config_cells(best.config)},{best.seed}\n")
     _write_manifest(out_dir, "sweep", cfg, seed)
     return EXIT_OK
 
@@ -212,7 +209,7 @@ def cmd_sweep(cfg: dict, jobs: int = 1) -> int:
 def cmd_analyze(cfg: dict, checkpoint_path: str, out_dir: str, probe_index: int = 0) -> int:
     seed = _integer("config", "seed", cfg.get("seed", 0), least=None)
     net = load_checkpoint(checkpoint_path)
-    ds = load_dataset(cfg, seed).flattened()
+    ds = load_dataset(cfg, seed)
     report = gate_report(net, ds, probe_index)
     os.makedirs(out_dir, exist_ok=True)
     paths = export_report(report, out_dir)
@@ -267,7 +264,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg, jobs=args.jobs)
         return cmd_analyze(cfg, args.checkpoint, args.out_dir, args.probe_index)
-    except (ValueError, OSError) as exc:  # ConfigError and the loaders' errors are ValueErrors
+    except (ValueError, OSError, MemoryError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -139,11 +139,3 @@ class NetworkTemplate:
             require_counts(self, "width", least=0)  # conv templates carry width 0
         else:
             require_counts(self, "width", "in_features")
-
-    def build(self, activation: str, gate_bias: float | None, init_seed: int):
-        """A freshly initialized network; gate_bias None takes InitScheme's default."""
-        net = build_network(self.kind, self.depth, self.width, self.in_features,
-                            self.classes, activation,
-                            image_shape=self.image_shape, kernel_size=self.kernel_size)
-        bias = {} if gate_bias is None else {"gate_bias": gate_bias}
-        return init_network(net, InitScheme(self.init_kind, rng_seed=init_seed, **bias))

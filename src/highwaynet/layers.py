@@ -119,7 +119,7 @@ class _GateCore(_Layer):
         h = apply_activation(a, self.activation)
         t = sigmoid(s)
         y = block_combine(h, t, x)
-        return y, {"x": x, "a": a, "s": s, "h": h, "t": t}
+        return y, {"x": x, "a": a, "h": h, "t": t}
 
     def _gate_backward(self, cache: dict, dL_dy: np.ndarray):
         """Returns (x, dL/da, dL/ds, carry term g*(1-t))."""

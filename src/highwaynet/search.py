@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .data import Dataset
-from .init import NetworkTemplate
+from .init import InitScheme, NetworkTemplate, build_network, init_network
 from .ops import ACTIVATIONS, Rng, derive_seed, require_counts
 from .optim import SgdConfig, TrainLog, train
 
@@ -51,17 +51,11 @@ class SearchSpace:
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    lr0: float
-    momentum: float
-    decay: float
-    activation: str
-    gate_bias: float | None
-    epochs: int
-    batch_size: int
-
-    def sgd(self) -> SgdConfig:
-        return SgdConfig(self.lr0, self.momentum, self.decay, self.epochs, self.batch_size)
+class TrainConfig(SgdConfig):
+    """One run's settings: the SGD schedule plus the two network choices a
+    search draws; gate_bias None takes InitScheme's default."""
+    activation: str = "relu"
+    gate_bias: float | None = None
 
 
 @dataclass
@@ -83,15 +77,26 @@ def sample_config(space: SearchSpace, rng: Rng) -> TrainConfig:
     decay = float(rng.uniform(*space.decay))
     activation = rng.choice(space.activations)
     gate_bias = float(rng.uniform(*space.gate_bias)) if space.gate_bias is not None else None
-    return TrainConfig(lr0, momentum, decay, activation, gate_bias,
-                       space.epochs, space.batch_size)
+    return TrainConfig(lr0=lr0, momentum=momentum, decay=decay, epochs=space.epochs,
+                       batch_size=space.batch_size, activation=activation, gate_bias=gate_bias)
+
+
+def fit(template: NetworkTemplate, dataset: Dataset, config: TrainConfig, seed: int):
+    """One run, the same for `train` and a search trial: a fresh network
+    initialized from derive_seed(seed, 1), trained with batch order from
+    derive_seed(seed, 2); returns (net, TrainLog)."""
+    t = template
+    net = build_network(t.kind, t.depth, t.width, t.in_features, t.classes, config.activation,
+                        image_shape=t.image_shape, kernel_size=t.kernel_size)
+    bias = {} if config.gate_bias is None else {"gate_bias": config.gate_bias}
+    init_network(net, InitScheme(t.init_kind, rng_seed=derive_seed(seed, 1), **bias))
+    return train(net, dataset, config, Rng(derive_seed(seed, 2)))
 
 
 def run_trial(template: NetworkTemplate, dataset: Dataset, config: TrainConfig,
               seed: int, trial: int = 0) -> TrialResult:
     """Train one sampled configuration; reproducible from (config, seed)."""
-    net = template.build(config.activation, config.gate_bias, derive_seed(seed, 1))
-    _, log = train(net, dataset, config.sgd(), Rng(derive_seed(seed, 2)))
+    _, log = fit(template, dataset, config, seed)
     status = "diverged" if log.diverged else "ok"
     return TrialResult(trial, config, seed, status, log.best_loss(), log.final_loss(), log)
 
@@ -135,12 +140,17 @@ def run_search(space: SearchSpace, template: NetworkTemplate, dataset: Dataset,
     return results
 
 
+def config_cells(c: TrainConfig) -> str:
+    """The lr0,momentum,decay,activation,gate_bias cells of search.csv and
+    sweep.csv: floats by repr, so they read back exactly; no gate bias is empty."""
+    gate = "" if c.gate_bias is None else repr(c.gate_bias)
+    return f"{c.lr0!r},{c.momentum!r},{c.decay!r},{c.activation},{gate}"
+
+
 def write_search_csv(results: list[TrialResult], path) -> None:
     """Summary CSV: one row per trial in ranked order."""
     with open(path, "w") as f:
         f.write("trial,status,lr0,momentum,decay,activation,gate_bias,best_loss,final_loss,seed\n")
         for r in results:
-            c = r.config
-            gate = "" if c.gate_bias is None else repr(c.gate_bias)
-            f.write(f"{r.trial},{r.status},{c.lr0!r},{c.momentum!r},{c.decay!r},"
-                    f"{c.activation},{gate},{r.best_loss!r},{r.final_loss!r},{r.seed}\n")
+            f.write(f"{r.trial},{r.status},{config_cells(r.config)},"
+                    f"{r.best_loss!r},{r.final_loss!r},{r.seed}\n")

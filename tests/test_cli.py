@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -149,6 +150,14 @@ class TestTrain:
         assert main(["train", "--config", str(cfg), "--data-dir", str(tmp_path)]) == 2
         assert "dataset" in capsys.readouterr().err
 
+    def test_impossible_allocation_exits_2(self, tmp_path, capsys):
+        # a 10^12 x 784 float64 matrix is larger than the address space, so
+        # the allocation fails without touching memory
+        cfg = write_config(tmp_path / "c.json", arch={**HIGHWAY, "width": 10**12},
+                           out_dir=str(tmp_path / "run"))
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert "allocate" in capsys.readouterr().err
+
     def test_jobs_flag_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", out_dir=str(tmp_path / "run"))
         with pytest.raises(SystemExit) as exc:
@@ -168,6 +177,36 @@ class TestTrain:
         from highwaynet.checkpoint import load_checkpoint
         net = load_checkpoint(tmp_path / "run" / "model.ckpt")
         assert net.is_conv and len(net.body) == 2
+
+
+class TestTrainEqualsTrial:
+    @pytest.mark.parametrize("kind, jobs", [("highway", 2), ("plain", 1)])
+    def test_train_reruns_each_search_trial(self, tmp_path, kind, jobs):
+        """`train` with a search.csv row's values and seed logs the trial's
+        final_loss last and its best_loss lowest, digit for digit."""
+        dataset = {"name": "synthetic", "count": 150, "seed": 4}
+        arch = {**HIGHWAY, "kind": kind}
+        search = {"trials": 3, "epochs": 2, "batch_size": 32}
+        cfg = write_config(tmp_path / "search.json", dataset=dataset, arch=arch, search=search,
+                           seed=2, out_dir=str(tmp_path / "search"))  # draws relu and tanh
+        assert main(["search", "--config", str(cfg), "--jobs", str(jobs)]) == 0
+        with open(tmp_path / "search" / "search.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 3
+        for row in rows:
+            init = {"kind": "he"}
+            if row["gate_bias"]:
+                init["gate_bias"] = float(row["gate_bias"])
+            sgd = {key: float(row[key]) for key in ("lr0", "momentum", "decay")}
+            run = tmp_path / f"trial{row['trial']}"
+            cfg = write_config(tmp_path / "train.json", dataset=dataset, init=init,
+                               arch={**arch, "activation": row["activation"]},
+                               sgd={**sgd, "epochs": 2, "batch_size": 32},
+                               seed=int(row["seed"]), out_dir=str(run))
+            assert main(["train", "--config", str(cfg)]) == (0 if row["status"] == "ok" else 3)
+            losses = [cells[1] for cells in read_log_rows(run / "log.csv")] or ["inf"]
+            assert row["final_loss"] == losses[-1]
+            assert row["best_loss"] == min(losses, key=float)
 
 
 class TestMalformedConfig:
@@ -289,7 +328,7 @@ FUZZ_BASES = (
     FUZZ_BASE,
     {**FUZZ_BASE, "arch": {"kind": "conv-highway", "depth": 1, "image_shape": [1, 28, 28],
                            "activation": "tanh"}},
-    {**FUZZ_BASE, "dataset": {"name": "cifar10", "paths": ["cifar.bin"], "as_images": False}},
+    {**FUZZ_BASE, "dataset": {"name": "cifar10", "paths": ["cifar.bin"]}},
     {**FUZZ_BASE, "dataset": {"name": "mnist", "dir": "data", "subset": 8}},
 )
 FUZZ_WORDS = ("relu", "tanh", "identity", "plain", "highway", "conv-highway", "he", "glorot",

@@ -114,6 +114,18 @@ class TestHighwayForward:
         y_perm, _ = layer.forward(x[perm])
         assert np.array_equal(y_perm, y[perm])
 
+    @pytest.mark.parametrize("kind", ["highway", "conv-highway"])
+    def test_gated_cache_holds_only_what_backward_reads(self, kind):
+        rng = Rng(15)
+        if kind == "highway":
+            layer, x = random_highway(rng), rng.normal(size=(3, 4))
+        else:
+            layer = ConvHighwayLayer(rng.normal(size=(2, 2, 3, 3)), rng.normal(size=2),
+                                     rng.normal(size=(2, 2, 3, 3)), rng.normal(size=2), "tanh")
+            x = rng.normal(size=(3, 2, 5, 5))
+        _, cache = layer.forward(x)
+        assert sorted(cache) == ["a", "h", "t", "x"]
+
     def test_width_disagreement_rejected(self):
         with pytest.raises(ShapeError):
             HighwayLayer(np.zeros((3, 3)), np.zeros(3), np.zeros((3, 3)), np.zeros(2))
