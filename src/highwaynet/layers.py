@@ -96,10 +96,10 @@ class PlainLayer(_Layer):
 
 
 class _GateCore(_Layer):
-    """The gate shared by the dense and conv gated layers.
+    """The gated layer, whatever its linear maps: dense or convolutional.
 
     Forward, with a = H-map(x) + b_H and s = T-map(x) + b_T supplied by the
-    layer (a dense product or a same-padded convolution):
+    layer's _maps (a dense product or a same-padded convolution):
 
       h = phi(a)    t = sigmoid(s)    y = h*t + x*(1-t)
 
@@ -110,82 +110,62 @@ class _GateCore(_Layer):
       dL/dx = adj_H(dL/da) + adj_T(dL/ds) + g*(1-t)
 
     The (h - x) factor and the direct g*(1-t) carry term both come from
-    differentiating y = h*t + x*(1-t) with C coupled to 1-T.  adj_H and
-    adj_T are the adjoints of the layer's linear maps; the layer also turns
-    dL/da and dL/ds into its weight and bias gradients.
+    differentiating y = h*t + x*(1-t) with C coupled to 1-T.  The layer
+    supplies adj_H(da) + adj_T(ds) as _adjoint, and turns dL/da and dL/ds
+    into its weight and bias gradients in _map_grads.  The carry path is the
+    identity, so both weights are [n, n, ...] (WEIGHT_NDIM dims), both
+    biases [n], and the maps keep the input's width n.
     """
 
-    def _gate_forward(self, x: np.ndarray, a: np.ndarray, s: np.ndarray):
+    WEIGHT_NDIM: int
+
+    def __init__(self, W_H, b_H, W_T, b_T, activation: str = "relu"):
+        arrays = W_H, b_H, W_T, b_T = self._store((W_H, b_H, W_T, b_T), activation)
+        n = W_H.shape[0] if W_H.ndim == self.WEIGHT_NDIM else -1
+        if W_H.shape[:2] != (n, n) or W_T.shape != W_H.shape or any(
+            b.shape != (n,) for b in (b_H, b_T)
+        ):
+            raise ShapeError(
+                f"{self.KIND} layer needs two [n, n, ...] weights of {self.WEIGHT_NDIM} dims "
+                "and two [n] biases, got "
+                + ", ".join(f"{name} {a.shape}" for name, a in zip(self.PARAMS, arrays))
+            )
+
+    def forward(self, x: np.ndarray):
+        a, s = self._maps(x)
         h = apply_activation(a, self.activation)
         t = sigmoid(s)
         y = block_combine(h, t, x)
         return y, {"x": x, "a": a, "h": h, "t": t}
 
-    def _gate_backward(self, cache: dict, dL_dy: np.ndarray):
-        """Returns (x, dL/da, dL/ds, carry term g*(1-t))."""
+    def backward(self, cache: dict, dL_dy: np.ndarray):
         x, a, h, t = cache["x"], cache["a"], cache["h"], cache["t"]
         if dL_dy.shape != x.shape:
             raise ShapeError(f"upstream gradient {dL_dy.shape} does not match cache {x.shape}")
         carry = 1.0 - t
         da = dL_dy * t * activation_derivative(a, self.activation)
         ds = dL_dy * (h - x) * t * carry
-        return x, da, ds, dL_dy * carry
+        grads = self._grads(*self._map_grads(x, da, ds))
+        return self._adjoint(da, ds) + dL_dy * carry, grads
 
 
 class HighwayLayer(_GateCore):
-    """Gated layer: y = H(x)*T(x) + x*(1-T(x)) with T = sigmoid(x W_T^T + b_T).
-
-    Input and output width must agree (the carry path is the identity), so
-    all four parameter tensors share one width n.
-    """
+    """Dense gated layer: H = phi(x W_H^T + b_H), T = sigmoid(x W_T^T + b_T)."""
 
     KIND = "highway"
     PARAMS = ("W_H", "b_H", "W_T", "b_T")
+    WEIGHT_NDIM = 2
+    # perfbench's tracer wraps each class's own forward and backward.
+    forward, backward = _GateCore.forward, _GateCore.backward
 
-    def __init__(self, W_H, b_H, W_T, b_T, activation: str = "relu"):
-        W_H, b_H, W_T, b_T = self._store((W_H, b_H, W_T, b_T), activation)
-        n = W_H.shape[0] if W_H.ndim == 2 else -1
-        if any(w.shape != (n, n) for w in (W_H, W_T)) or any(
-            b.shape != (n,) for b in (b_H, b_T)
-        ):
-            raise ShapeError(
-                "highway layer needs square weights and matching biases of one width, got "
-                f"W_H {W_H.shape}, b_H {b_H.shape}, W_T {W_T.shape}, b_T {b_T.shape}"
-            )
+    def _maps(self, x):
+        return matmul(x, self.W_H.T) + self.b_H, matmul(x, self.W_T.T) + self.b_T
 
-    def forward(self, x: np.ndarray):
-        a = matmul(x, self.W_H.T) + self.b_H
-        s = matmul(x, self.W_T.T) + self.b_T
-        return self._gate_forward(x, a, s)
+    def _map_grads(self, x, da, ds):
+        return matmul(da.T, x), da.sum(axis=0), matmul(ds.T, x), ds.sum(axis=0)
 
-    def backward(self, cache: dict, dL_dy: np.ndarray):
-        """The gate core's chain rule with dense adjoints: adj(d) = d W."""
-        x, da, ds, carry = self._gate_backward(cache, dL_dy)
-        grads = self._grads(matmul(da.T, x), da.sum(axis=0), matmul(ds.T, x), ds.sum(axis=0))
-        dL_dx = matmul(da, self.W_H) + matmul(ds, self.W_T) + carry
-        return dL_dx, grads
-
-
-def _pad2d(x: np.ndarray, p: int) -> np.ndarray:
-    if p == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-
-
-def _corr2d(x: np.ndarray, kernels: np.ndarray, pad: int) -> np.ndarray:
-    """Stride-1 cross-correlation with zero padding, via im2col lowering.
-
-    x: [batch, c_in, h, w]; kernels: [c_out, c_in, k, k] -> [batch, c_out, h, w].
-    Same-size output requires pad = (k-1)/2, which the layer enforces.
-    """
-    batch, c_in, height, width = x.shape
-    c_out, c_in_k, k, _ = kernels.shape
-    if c_in_k != c_in:
-        raise ShapeError(f"kernel expects {c_in_k} input channels, got {c_in}")
-    win = np.lib.stride_tricks.sliding_window_view(_pad2d(x, pad), (k, k), axis=(2, 3))
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(batch * height * width, c_in * k * k)
-    out = cols @ kernels.reshape(c_out, c_in * k * k).T
-    return out.reshape(batch, height, width, c_out).transpose(0, 3, 1, 2)
+    def _adjoint(self, da, ds):
+        return matmul(da, self.W_H) + matmul(ds, self.W_T)
 
 
 class ConvHighwayLayer(_GateCore):
@@ -198,19 +178,17 @@ class ConvHighwayLayer(_GateCore):
 
     KIND = "conv-highway"
     PARAMS = ("K_H", "b_H", "K_T", "b_T")
+    WEIGHT_NDIM = 4
+    # perfbench's tracer wraps each class's own forward and backward.
+    forward, backward = _GateCore.forward, _GateCore.backward
 
     def __init__(self, K_H, b_H, K_T, b_T, activation: str = "relu"):
-        K_H, b_H, K_T, b_T = self._store((K_H, b_H, K_T, b_T), activation)
-        if K_H.ndim != 4 or K_H.shape[0] != K_H.shape[1] or K_H.shape[2] != K_H.shape[3]:
-            raise ShapeError(f"conv kernels must be [c, c, k, k], got {K_H.shape}")
-        c, _, k, _ = K_H.shape
+        super().__init__(K_H, b_H, K_T, b_T, activation)
+        _, _, k, k_w = self.K_H.shape
+        if k != k_w:
+            raise ShapeError(f"conv kernels must be [c, c, k, k], got {self.K_H.shape}")
         if k % 2 == 0:
             raise ValueError(f"kernel size must be odd for same-size padding, got k={k}")
-        if K_T.shape != K_H.shape or b_H.shape != (c,) or b_T.shape != (c,):
-            raise ShapeError(
-                f"conv highway shapes disagree: K_H {K_H.shape}, b_H {b_H.shape}, "
-                f"K_T {K_T.shape}, b_T {b_T.shape}"
-            )
 
     @property
     def channels(self) -> int:
@@ -220,37 +198,45 @@ class ConvHighwayLayer(_GateCore):
     def kernel_size(self) -> int:
         return self.K_H.shape[2]
 
-    @property
-    def padding(self) -> int:
-        return (self.kernel_size - 1) // 2
+    def _windows(self, x: np.ndarray) -> np.ndarray:
+        """[batch, c, h, w, k, k] view of the k x k window at each pixel of x
+        zero-padded by (k-1)/2."""
+        k = self.kernel_size
+        p = (k - 1) // 2
+        padded = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+        return np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(2, 3))
 
-    def forward(self, x: np.ndarray):
+    def _correlate(self, x: np.ndarray, *kernels: np.ndarray) -> list:
+        """Same-size stride-1 cross-correlation of x with each [c_out, c, k, k]
+        kernel bank, from one im2col lowering of x ([batch*h*w, c*k*k])."""
+        batch, c, height, width = x.shape
+        k = self.kernel_size
+        cols = self._windows(x).transpose(0, 2, 3, 1, 4, 5).reshape(batch * height * width,
+                                                                      c * k * k)
+        return [(cols @ K.reshape(K.shape[0], c * k * k).T)
+                .reshape(batch, height, width, K.shape[0]).transpose(0, 3, 1, 2)
+                for K in kernels]
+
+    def _maps(self, x):
         if x.ndim != 4 or x.shape[1] != self.channels:
             raise ShapeError(
                 f"conv highway expects [batch, {self.channels}, h, w] input, got {x.shape}"
             )
-        a = _corr2d(x, self.K_H, self.padding) + self.b_H[None, :, None, None]
-        s = _corr2d(x, self.K_T, self.padding) + self.b_T[None, :, None, None]
-        return self._gate_forward(x, a, s)
+        a, s = self._correlate(x, self.K_H, self.K_T)
+        return a + self.b_H[None, :, None, None], s + self.b_T[None, :, None, None]
 
-    def backward(self, cache: dict, dL_dy: np.ndarray):
-        """The gate core's chain rule with conv adjoints.
+    def _map_grads(self, x, da, ds):
+        win = self._windows(x)
+        return (np.einsum("boij,bcijuv->ocuv", da, win), da.sum(axis=(0, 2, 3)),
+                np.einsum("boij,bcijuv->ocuv", ds, win), ds.sum(axis=(0, 2, 3)))
 
-        The adjoint of a same-padded stride-1 cross-correlation is another
-        same-padded cross-correlation with the kernels flipped in both
-        spatial dims and transposed across channels.
-        """
-        x, da, ds, carry = self._gate_backward(cache, dL_dy)
-        k, p = self.kernel_size, self.padding
-        win = np.lib.stride_tricks.sliding_window_view(_pad2d(x, p), (k, k), axis=(2, 3))
-        grads = self._grads(
-            np.einsum("boij,bcijuv->ocuv", da, win), da.sum(axis=(0, 2, 3)),
-            np.einsum("boij,bcijuv->ocuv", ds, win), ds.sum(axis=(0, 2, 3)),
-        )
-        adj_h = np.flip(self.K_H, axis=(2, 3)).transpose(1, 0, 2, 3)
-        adj_t = np.flip(self.K_T, axis=(2, 3)).transpose(1, 0, 2, 3)
-        dL_dx = _corr2d(da, adj_h, p) + _corr2d(ds, adj_t, p) + carry
-        return dL_dx, grads
+    def _adjoint(self, da, ds):
+        """The adjoint of a same-padded stride-1 cross-correlation is another
+        one with the kernels flipped in both spatial dims and transposed
+        across channels."""
+        (adj_h,) = self._correlate(da, np.flip(self.K_H, axis=(2, 3)).transpose(1, 0, 2, 3))
+        (adj_t,) = self._correlate(ds, np.flip(self.K_T, axis=(2, 3)).transpose(1, 0, 2, 3))
+        return adj_h + adj_t
 
 
 BODY_KINDS = {cls.KIND: cls for cls in (PlainLayer, HighwayLayer, ConvHighwayLayer)}

@@ -143,16 +143,12 @@ class Rng:
 
     Same seed reproduces the identical sequence of fills across runs and
     platforms, however the draws are chunked into calls.  Never share one
-    instance between threads; derive children with :meth:`spawn` instead.
+    instance between threads.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64
         self._counter = 0
-
-    def spawn(self, index: int) -> "Rng":
-        """Independent child stream; deterministic in (seed, index)."""
-        return Rng(derive_seed(self.seed, index))
 
     def _raw(self, n: int) -> np.ndarray:
         idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 from .data import Dataset
 from .init import InitScheme, NetworkTemplate, build_network, init_network
-from .ops import ACTIVATIONS, Rng, derive_seed, require_counts
+from .ops import ACTIVATIONS, Rng, derive_seed, require_counts, require_int
 from .optim import SgdConfig, TrainLog, train
 
 
@@ -125,13 +125,16 @@ def run_search(space: SearchSpace, template: NetworkTemplate, dataset: Dataset,
     last; ties break on trial index, so serial and parallel runs agree.
     Pool tasks carry no data: each worker gets the dataset once, from the
     pool initializer (inherited, not pickled, under the fork start method).
+    The pool has no more workers than trials: under fork all of them start
+    at the first submit, busy or not.
     """
+    workers = min(require_int("jobs", jobs), space.trials)
     if template.kind == "plain":
         space = space.without_gate_bias()
-    shipped = None if jobs > 1 else dataset
+    shipped = None if workers > 1 else dataset
     work = [(template, shipped, space, master_seed, i) for i in range(space.trials)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_share_dataset,
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_share_dataset,
                                  initargs=(dataset,)) as pool:
             results = list(pool.map(_trial_for_index, work))
     else:

@@ -241,6 +241,13 @@ class TestSweep:
 
 
 class TestSearchCommand:
+    @pytest.mark.parametrize("command", ["search", "sweep"])
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, command, jobs):
+        cfg = write_config(tmp_path / "c.json", depths=[2], out_dir=str(tmp_path / "run"))
+        assert main([command, "--config", str(cfg), "--jobs", jobs]) == 2
+        assert "jobs" in capsys.readouterr().err
+
     def test_writes_summary(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", out_dir=str(tmp_path / "s"))
         assert main(["search", "--config", str(cfg)]) == 0

@@ -18,7 +18,14 @@ from highwaynet.layers import (
     count_parameters,
     network_forward_backward,
 )
-from highwaynet.ops import Rng, ShapeError
+from highwaynet.ops import (
+    Rng,
+    ShapeError,
+    activation_derivative,
+    apply_activation,
+    matmul,
+    sigmoid,
+)
 
 
 def random_highway(rng: Rng, n: int = 4, activation: str = "tanh") -> HighwayLayer:
@@ -260,6 +267,104 @@ class TestConvHighway:
             out, _ = layer.forward(x)
             return float((out * proj).sum())
         assert max_relative_error(grads["b_H"], numerical_gradient(loss, layer.b_H)) < 1e-6
+
+
+def _reference_gate(x, a, s, g, activation):
+    """The gate's forward and chain rule, step by step: (y, cache, da, ds, g*(1-t))."""
+    h = apply_activation(a, activation)
+    t = sigmoid(s)
+    carry = 1.0 - t
+    da = g * t * activation_derivative(a, activation)
+    ds = g * (h - x) * t * carry
+    return block_combine(h, t, x), {"x": x, "a": a, "h": h, "t": t}, da, ds, g * carry
+
+
+def reference_highway(layer, x, g):
+    """(y, cache, dL/dx, [grads]) of a dense gated layer, written out in full."""
+    a = matmul(x, layer.W_H.T) + layer.b_H
+    s = matmul(x, layer.W_T.T) + layer.b_T
+    y, cache, da, ds, carry = _reference_gate(x, a, s, g, layer.activation)
+    grads = [matmul(da.T, x), da.sum(axis=0), matmul(ds.T, x), ds.sum(axis=0)]
+    return y, cache, matmul(da, layer.W_H) + matmul(ds, layer.W_T) + carry, grads
+
+
+def _reference_windows(x, k):
+    p = (k - 1) // 2
+    padded = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+    return np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(2, 3))
+
+
+def _reference_corr2d(x, kernels):
+    """Same-size cross-correlation of x with one kernel bank: pad, window and
+    im2col x for this bank alone."""
+    batch, c_in, height, width = x.shape
+    c_out, _, k, _ = kernels.shape
+    win = _reference_windows(x, k)
+    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(batch * height * width, c_in * k * k)
+    out = cols @ kernels.reshape(c_out, c_in * k * k).T
+    return out.reshape(batch, height, width, c_out).transpose(0, 3, 1, 2)
+
+
+def reference_conv(layer, x, g):
+    """(y, cache, dL/dx, [grads]) of a conv gated layer, lowering the input
+    once per map."""
+    a = _reference_corr2d(x, layer.K_H) + layer.b_H[None, :, None, None]
+    s = _reference_corr2d(x, layer.K_T) + layer.b_T[None, :, None, None]
+    y, cache, da, ds, carry = _reference_gate(x, a, s, g, layer.activation)
+    win = _reference_windows(x, layer.kernel_size)
+    grads = [np.einsum("boij,bcijuv->ocuv", da, win), da.sum(axis=(0, 2, 3)),
+             np.einsum("boij,bcijuv->ocuv", ds, win), ds.sum(axis=(0, 2, 3))]
+    adj_h = np.flip(layer.K_H, axis=(2, 3)).transpose(1, 0, 2, 3)
+    adj_t = np.flip(layer.K_T, axis=(2, 3)).transpose(1, 0, 2, 3)
+    dL_dx = _reference_corr2d(da, adj_h) + _reference_corr2d(ds, adj_t) + carry
+    return y, cache, dL_dx, grads
+
+
+def assert_same_bits_as(reference, layer, x, rng):
+    y, cache = layer.forward(x)
+    g = rng.normal(size=y.shape)
+    dL_dx, grads = layer.backward(cache, g)
+    ref_y, ref_cache, ref_dx, ref_grads = reference(layer, x, g)
+    assert sorted(cache) == sorted(ref_cache)
+    pairs = [(y, ref_y), (dL_dx, ref_dx), *((cache[k], ref_cache[k]) for k in ref_cache),
+             *zip(grads.values(), ref_grads, strict=True)]
+    for got, want in pairs:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+class TestGatedLayerBits:
+    """The layers against the gate written out step by step, bit for bit."""
+
+    @pytest.mark.parametrize("batch", [1, 7, 64, 512])
+    def test_highway(self, batch):
+        rng = Rng(600 + batch)
+        layer = HighwayLayer(rng.normal(std=0.2, size=(50, 50)), rng.normal(size=50),
+                             rng.normal(std=0.2, size=(50, 50)), rng.normal(size=50) - 2.0)
+        assert_same_bits_as(reference_highway, layer, rng.normal(size=(batch, 50)), rng)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("batch", [1, 7, 64])
+    def test_conv_highway(self, k, batch):
+        rng = Rng(700 + 10 * k + batch)
+        layer = ConvHighwayLayer(rng.normal(std=0.3, size=(3, 3, k, k)), rng.normal(size=3),
+                                 rng.normal(std=0.3, size=(3, 3, k, k)), rng.normal(size=3) - 1.0)
+        assert_same_bits_as(reference_conv, layer, rng.normal(size=(batch, 3, 9, 11)), rng)
+
+
+class TestTracedMethods:
+    """perfbench/tracing.py wraps these methods by reading each class's own
+    __dict__, so they must stay defined on the class itself."""
+
+    @pytest.mark.parametrize("cls, names", [
+        (PlainLayer, ("forward", "backward")),
+        (HighwayLayer, ("forward", "backward")),
+        (ConvHighwayLayer, ("forward", "backward")),
+        (SoftmaxHead, ("forward_backward", "probabilities")),
+        (Network, ("forward_caches",)),
+    ])
+    def test_defined_on_the_class_itself(self, cls, names):
+        assert all(callable(cls.__dict__.get(name)) for name in names)
 
 
 class TestSoftmaxHead:

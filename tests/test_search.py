@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from highwaynet import search
 from highwaynet.data import Dataset, synthetic_digits
 from highwaynet.ops import Rng, derive_seed
 from highwaynet.search import (
@@ -129,6 +130,32 @@ class TestRunSearch:
                              jobs=2)
         assert len(results) == 4
         assert PickleCountingDataset.pickles <= 2  # the pool has 2 workers, the search 4 tasks
+
+    @pytest.mark.parametrize("trials, pools", [(3, [3]), (1, [])])
+    def test_pool_has_no_more_workers_than_trials(self, tiny_dataset, monkeypatch,
+                                                  trials, pools):
+        workers = []
+
+        class InProcessPool:
+            """Records the pool size and runs the tasks here, as a worker would."""
+            def __init__(self, max_workers, initializer, initargs):
+                workers.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, work):
+                return map(fn, work)
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(search, "_worker_dataset", None)  # undone after the test
+        space = SearchSpace(trials=trials, epochs=1, batch_size=32)
+        assert len(run_search(space, TEMPLATE, tiny_dataset, 11, jobs=8)) == trials
+        assert workers == pools  # one trial runs here, with no pool
 
     def test_trial_reproducible_standalone(self, tiny_dataset):
         results = run_search(TINY_SPACE, TEMPLATE, tiny_dataset, 23)
