@@ -57,14 +57,14 @@ def gate_report(net: Network, samples: Dataset, probe_index: int = 0,
     capped = Dataset(flat.inputs[:used], flat.labels[:used], flat.num_classes, flat.name)
     for xb, _ in batches(capped, batch_size):
         _, caches = net.forward_caches(xb)
-        for row, (_, _, cache) in enumerate(c for c in caches if c[0] != "input"):
+        for row, (_, _, cache) in enumerate(caches[-layers:]):
             sums[row] += cache["t"].sum(axis=0)
         seen += xb.shape[0]
     mean_activity = sums / seen
 
     # Block i's output is block i+1's input; the last block's is the result.
     y, caches = net.forward_caches(flat.inputs[probe_index:probe_index + 1])
-    body_caches = [cache for name, _, cache in caches if name != "input"]
+    body_caches = [cache for _, _, cache in caches[-layers:]]
     sample_trace = np.stack([cache["t"][0] for cache in body_caches])
     block_outputs = np.stack([cache["x"][0] for cache in body_caches[1:]] + [y[0]])
 

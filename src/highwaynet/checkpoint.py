@@ -16,11 +16,13 @@ The header records the architecture and, per parameter, its name and shape:
    "has_input_layer": bool,
    "params": [{"name": "input.W_H", "shape": [50, 784]}, ...]}
 
-Loading rebuilds the network and restores parameters bit-identically.  The
-body layer class is BODY_KINDS[body_kind], and the stored names must be
-exactly the layer classes' PARAMS in order; any other header (a missing key,
-a value of the wrong JSON type, a shape that is not a list of non-negative
-integers, tensors that do not fit together) raises CheckpointError.
+Loading rebuilds the network and restores parameters bit-identically.  Zeros
+of the stored shapes go, in order, to the input layer (if has_input_layer),
+to BODY_KINDS[body_kind] layers and to the head, by each class's PARAMS
+count.  Network checks that they fit and names them; the stored names must be
+its names.  Any other header (a missing key, a value of the wrong JSON type,
+a shape that is not a list of non-negative integers, a tensor count that does
+not split so, tensors that do not fit together) raises CheckpointError.
 """
 
 from __future__ import annotations
@@ -43,11 +45,17 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(net: Network, path) -> None:
+    """Write net to path; a ValueError, before anything is written, if its
+    layers use more than the one activation a checkpoint stores."""
+    activations = {layer.activation for layer in (net.input_layer, *net.body)
+                   if layer is not None}
+    if len(activations) > 1:
+        raise ValueError(f"a checkpoint stores one activation, the network's layers use "
+                         f"{', '.join(sorted(activations))}")
     header = {
         "format": 1,
         "body_kind": net.body_kind,
-        "activation": (net.body[0].activation if net.body
-                       else net.input_layer.activation),
+        "activation": activations.pop(),
         "has_input_layer": net.input_layer is not None,
         "params": [{"name": name, "shape": list(p.shape)} for name, p in net.parameters()],
     }
@@ -57,32 +65,6 @@ def save_checkpoint(net: Network, path) -> None:
         f.write(struct.pack("<I", len(blob)))
         f.write(blob)
         f.write(net.theta.astype("<f8", copy=False))
-
-
-def _layout(header: dict, path) -> list:
-    """(prefix, layer class) for every layer the header describes, in
-    parameter order; the stored names must be exactly the classes' PARAMS."""
-    bad = [key for key, kind in HEADER_TYPES.items() if not isinstance(header.get(key), kind)]
-    if bad:
-        raise CheckpointError(f"checkpoint header in {path} lacks a valid {', '.join(bad)}")
-    for entry in header["params"]:
-        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
-                and isinstance(entry.get("shape"), list)
-                and all(type(d) is int and d >= 0 for d in entry["shape"])):
-            raise CheckpointError(f"malformed parameter entry {entry!r} in {path}")
-    if header["body_kind"] not in BODY_KINDS:
-        raise CheckpointError(f"unknown body kind {header['body_kind']!r} in {path}")
-    if header["activation"] not in ACTIVATIONS:
-        raise CheckpointError(f"unknown activation {header['activation']!r} in {path}")
-    body_cls = BODY_KINDS[header["body_kind"]]
-    names = [entry["name"] for entry in header["params"]]
-    depth = sum(name.startswith("body.") for name in names) // len(body_cls.PARAMS)
-    layout = ([("input", PlainLayer)] if header["has_input_layer"] else []) + [
-        (f"body.{i}", body_cls) for i in range(depth)] + [("head", SoftmaxHead)]
-    if names != [f"{prefix}.{n}" for prefix, cls in layout for n in cls.PARAMS]:
-        raise CheckpointError(
-            f"parameter names in {path} do not fit a {header['body_kind']!r} network")
-    return layout
 
 
 def load_checkpoint(path) -> Network:
@@ -99,7 +81,19 @@ def load_checkpoint(path) -> Network:
         raise CheckpointError(f"unreadable checkpoint header in {path}: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != 1:
         raise CheckpointError(f"unsupported checkpoint header format in {path}")
-    layout = _layout(header, path)
+    bad = [key for key, want in HEADER_TYPES.items() if not isinstance(header.get(key), want)]
+    if bad:
+        raise CheckpointError(f"checkpoint header in {path} lacks a valid {', '.join(bad)}")
+    for entry in header["params"]:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(type(d) is int and d >= 0 for d in entry["shape"])):
+            raise CheckpointError(f"malformed parameter entry {entry!r} in {path}")
+    kind, activation = header["body_kind"], header["activation"]
+    if kind not in BODY_KINDS:
+        raise CheckpointError(f"unknown body kind {kind!r} in {path}")
+    if activation not in ACTIVATIONS:
+        raise CheckpointError(f"unknown activation {activation!r} in {path}")
 
     count = sum(math.prod(entry["shape"]) for entry in header["params"])
     stored = len(raw) - 12 - header_len
@@ -108,19 +102,21 @@ def load_checkpoint(path) -> Network:
     if stored > 8 * count:
         raise CheckpointError(f"{stored - 8 * count} trailing bytes in {path}")
 
-    # The layers take zeros of the header's shapes; theta then reads the
-    # blobs, whose order _layout has checked is the network's.
-    shapes = iter(entry["shape"] for entry in header["params"])
-
-    def build(cls):
-        params = (np.zeros(next(shapes)) for _ in cls.PARAMS)
-        return SoftmaxHead(*params) if cls is SoftmaxHead else cls(*params, header["activation"])
-
+    body_cls = BODY_KINDS[kind]
+    step = len(body_cls.PARAMS)
+    first = len(PlainLayer.PARAMS) if header["has_input_layer"] else 0
+    last = len(header["params"]) - len(SoftmaxHead.PARAMS)
+    if last < first or (last - first) % step:
+        raise CheckpointError(
+            f"{len(header['params'])} tensors in {path} do not split into a {kind!r} network")
     try:
-        layers = [build(cls) for _, cls in layout]
-        input_layer = layers.pop(0) if header["has_input_layer"] else None
-        net = Network(input_layer, layers[:-1], layers[-1])
+        tensors = [np.zeros(entry["shape"]) for entry in header["params"]]
+        body = [body_cls(*tensors[i:i + step], activation) for i in range(first, last, step)]
+        net = Network(PlainLayer(*tensors[:first], activation) if first else None, body,
+                      SoftmaxHead(*tensors[last:]))
     except ValueError as exc:  # ShapeError included
         raise CheckpointError(f"parameters in {path} do not fit together: {exc}") from exc
+    if [entry["name"] for entry in header["params"]] != [n for n, _ in net.parameters()]:
+        raise CheckpointError(f"parameter names in {path} do not fit a {kind!r} network")
     net.theta[...] = np.frombuffer(raw, dtype="<f8", count=count, offset=12 + header_len)
     return net

@@ -124,9 +124,9 @@ def _write_manifest(out_dir: str, command: str, cfg: dict, seed: int) -> None:
 
 
 def _setup(cfg: dict, command: str):
-    """What train, search and sweep share: the seed, the output directory,
-    the dataset (flat for dense networks, [count, c, h, w] for conv) and the
-    NetworkTemplate fitted to it."""
+    """What train, search and sweep share: the seed, the output directory
+    (each command makes it after its last config check), the dataset (flat
+    for dense networks, [count, c, h, w] for conv) and its NetworkTemplate."""
     seed = _integer("config", "seed", cfg.get("seed", 0), least=None)
     # rng_seed is a run field: search.fit derives each run's init seed
     scheme = _build(InitScheme, "init", cfg.get("init", {}), rng_seed=0)
@@ -141,9 +141,7 @@ def _setup(cfg: dict, command: str):
             raise ConfigError(f"dataset features {ds.features} do not fill image "
                               f"{template.image_shape}")
         ds = replace(ds, inputs=ds.inputs.reshape(-1, *template.image_shape))
-    out_dir = cfg.get("out_dir", f"runs/{command}")
-    os.makedirs(out_dir, exist_ok=True)
-    return seed, out_dir, ds, template
+    return seed, cfg.get("out_dir", f"runs/{command}"), ds, template
 
 
 def cmd_train(cfg: dict) -> int:
@@ -152,6 +150,7 @@ def cmd_train(cfg: dict) -> int:
     config = _build(TrainConfig, "sgd", cfg.get("sgd", {}),
                     activation=arch.get("activation", "relu"), gate_bias=init.get("gate_bias"))
     seed, out_dir, ds, template = _setup(cfg, "train")
+    os.makedirs(out_dir, exist_ok=True)
     net, log = fit(template, ds, config, seed)
 
     log.write_csv(os.path.join(out_dir, "log.csv"))
@@ -166,8 +165,10 @@ def cmd_train(cfg: dict) -> int:
 
 
 def cmd_search(cfg: dict, jobs: int = 1) -> int:
+    require_int("jobs", jobs)
     space = _build(SearchSpace, "search", cfg.get("search", {}))
     seed, out_dir, ds, template = _setup(cfg, "search")
+    os.makedirs(out_dir, exist_ok=True)
     results = run_search(space, template, ds, seed, jobs=jobs)
     write_search_csv(results, os.path.join(out_dir, "search.csv"))
     _write_manifest(out_dir, "search", cfg, seed)
@@ -180,6 +181,7 @@ def cmd_search(cfg: dict, jobs: int = 1) -> int:
 def cmd_sweep(cfg: dict, jobs: int = 1) -> int:
     if not cfg.get("depths"):
         raise ConfigError("sweep needs a non-empty 'depths' list")
+    require_int("jobs", jobs)
     space = _build(SearchSpace, "search", cfg.get("search", {}))
     seed, out_dir, ds, base = _setup(cfg, "sweep")
     try:  # check every (kind, depth) before the first search starts
@@ -187,6 +189,7 @@ def cmd_sweep(cfg: dict, jobs: int = 1) -> int:
                      for kind in cfg.get("kinds", [base.kind]) for depth in cfg["depths"]]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"kinds x depths: {exc}") from exc
+    os.makedirs(out_dir, exist_ok=True)
 
     rows = []
     for t in templates:

@@ -316,24 +316,18 @@ class Network:
         self.input_layer = input_layer
         self.body = body
         self.head = head
-        if self.is_conv:
-            if input_layer is not None:
-                raise ShapeError("convolutional body takes raw images; no input layer allowed")
-            channels = {layer.channels for layer in body}
-            if len(channels) > 1:
-                raise ShapeError(f"conv body channel counts disagree: {sorted(channels)}")
-        else:
-            if input_layer is None:
-                raise ShapeError("fully-connected network requires the leading plain layer")
-            width = input_layer.out_width
-            for i, layer in enumerate(body):
-                if layer.in_width != width or layer.out_width != width:
-                    raise ShapeError(
-                        f"body layer {i} width {layer.in_width}x{layer.out_width} "
-                        f"breaks the chain at width {width}"
-                    )
-            if head.in_width != width:
-                raise ShapeError(f"head expects width {width}, has {head.in_width}")
+        if self.is_conv == (input_layer is not None):
+            raise ShapeError("a network has a leading plain layer exactly when its body is "
+                             "not convolutional")
+        width = input_layer.out_width if input_layer is not None else body[0].out_width
+        for i, layer in enumerate(body):
+            if layer.in_width != width or layer.out_width != width:
+                raise ShapeError(
+                    f"body layer {i} width {layer.in_width}x{layer.out_width} "
+                    f"breaks the chain at width {width}"
+                )
+        if not self.is_conv and head.in_width != width:
+            raise ShapeError(f"head expects width {width}, has {head.in_width}")
         # theta holds every parameter in parameters() order, and each layer
         # tensor becomes its view (a layer belongs to the last network built).
         layers = self._named_layers() + [("head", head)]

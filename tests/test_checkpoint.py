@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 
 import numpy as np
@@ -12,7 +13,8 @@ from highwaynet.layers import count_parameters
 
 
 def make_net(kind="highway", seed=1):
-    net = build_network(kind, 4, 6, 5, 3, "tanh")
+    """A depth-4 net of kind; the conv kind reads image_shape, not the widths."""
+    net = build_network(kind, 4, 6, 5, 3, "tanh", image_shape=(2, 3, 3))
     return init_network(net, InitScheme("he", -3.0, seed))
 
 
@@ -31,6 +33,48 @@ def rewrite_header(path, edit):
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + n:])
 
+
+def rewrite_layout(path, edit):
+    """Apply edit(header) to a saved checkpoint and rewrite its blob region
+    to hold the bytes of each entry left in params, in their new order, so
+    that the blob size still fits the header."""
+    raw = path.read_bytes()
+    (n,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12:12 + n])
+    blobs, offset = {}, 12 + n
+    for entry in header["params"]:
+        size = 8 * math.prod(entry["shape"])
+        blobs[entry["name"]], offset = raw[offset:offset + size], offset + size
+    edit(header)
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob
+                     + b"".join(blobs[entry["name"]] for entry in header["params"]))
+
+
+def drop(name):
+    return lambda h: h.update(params=[e for e in h["params"] if e["name"] != name])
+
+
+def swap(first, second):
+    def edit(h):
+        i, j = ([e["name"] for e in h["params"]].index(n) for n in (first, second))
+        h["params"][i], h["params"][j] = h["params"][j], h["params"][i]
+    return edit
+
+
+# (body kind, header edit): headers whose shapes and blob size agree but
+# whose tensors do not make the network the header names.
+LAYOUT_FAULTS = {
+    "highway-has_input_layer-flipped": ("highway", lambda h: h.update(has_input_layer=False)),
+    "plain-has_input_layer-flipped": ("plain", lambda h: h.update(has_input_layer=False)),
+    "conv-has_input_layer-flipped": ("conv-highway", lambda h: h.update(has_input_layer=True)),
+    "body.0.b_T-dropped": ("highway", drop("body.0.b_T")),
+    "body.1.K_T-dropped": ("conv-highway", drop("body.1.K_T")),
+    "input.b_H-dropped": ("highway", drop("input.b_H")),
+    "empty-params": ("highway", lambda h: h.update(params=[])),
+    "W_H-W_T-swapped": ("highway", swap("body.1.W_H", "body.1.W_T")),
+    "K_H-K_T-swapped": ("conv-highway", swap("body.0.K_H", "body.0.K_T")),
+}
 
 BAD_HEADERS = {
     "missing-activation": lambda h: h.pop("activation"),
@@ -109,6 +153,14 @@ class TestRoundTrip:
         save_checkpoint(net, tmp_path / "m.ckpt")
         assert load_checkpoint(tmp_path / "m.ckpt").body[0].activation == "tanh"
 
+    def test_mixed_activations_refused_before_writing(self, tmp_path):
+        net = build_network("highway", 3, 4, 5, 3, "relu")
+        init_network(net, InitScheme("he", -1.0, 2))
+        net.input_layer.activation = "tanh"
+        with pytest.raises(ValueError, match="relu, tanh"):
+            save_checkpoint(net, tmp_path / "m.ckpt")
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_save_is_deterministic(self, tmp_path):
         net = make_net()
         save_checkpoint(net, tmp_path / "a.ckpt")
@@ -153,6 +205,15 @@ class TestCorruption:
         path = tmp_path / "m.ckpt"
         save_checkpoint(make_net("highway"), path)
         rewrite_header(path, BAD_HEADERS[case])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("case", sorted(LAYOUT_FAULTS))
+    def test_layout_fault(self, tmp_path, case):
+        kind, edit = LAYOUT_FAULTS[case]
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(make_net(kind), path)
+        rewrite_layout(path, edit)
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 

@@ -35,7 +35,8 @@ SEARCH = {"trials": 1, "epochs": 1, "batch_size": 32}
 
 # (command, section, key, config overrides).  Each config runs without error,
 # or fails with a traceback and exit 1, when the key is not checked; it must
-# be refused with exit 2 and a message naming the section and the key.
+# be refused with exit 2, a message naming the section and the key, and no
+# output directory left behind.
 MALFORMED = {
     "unknown-sgd-key": ("train", "sgd", "lr", {"sgd": {"lr": 1}}),
     "sgd-missing-lr0": ("train", "sgd", "lr0", {"sgd": {"epochs": 1}}),
@@ -60,6 +61,7 @@ MALFORMED = {
                             {"search": {**SEARCH, "batch_size": "32"}}),
     "sweep-depth-string": ("sweep", "depths", "depth", {"depths": ["3"], "search": SEARCH}),
     "sweep-depths-not-list": ("sweep", "depths", "depths", {"depths": 3, "search": SEARCH}),
+    "sweep-depth-zero": ("sweep", "depths", "depth", {"depths": [2, 0], "search": SEARCH}),
     "seed-string": ("train", "config", "seed", {"seed": "1"}),
     "search-seed-float": ("search", "config", "seed", {"seed": 1.5, "search": SEARCH}),
     "dataset-count-string": ("train", "dataset", "count",
@@ -217,6 +219,7 @@ class TestMalformedConfig:
         assert main([command, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert re.search(rf"\b{section}\b", err) and re.search(rf"\b{key}\b", err), err
+        assert not (tmp_path / "run").exists()
 
 
 class TestSweep:
@@ -247,6 +250,7 @@ class TestSearchCommand:
         cfg = write_config(tmp_path / "c.json", depths=[2], out_dir=str(tmp_path / "run"))
         assert main([command, "--config", str(cfg), "--jobs", jobs]) == 2
         assert "jobs" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_writes_summary(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", out_dir=str(tmp_path / "s"))

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from gradcheck import (
     numerical_gradient,
     relu_preactivations_clear,
 )
+from highwaynet import checkpoint, init, search
 from highwaynet.init import InitScheme, build_network, init_network
 from highwaynet.layers import (
     ConvHighwayLayer,
@@ -26,6 +29,7 @@ from highwaynet.ops import (
     matmul,
     sigmoid,
 )
+from test_ops import SIGMOID_EDGES
 
 
 def random_highway(rng: Rng, n: int = 4, activation: str = "tanh") -> HighwayLayer:
@@ -53,6 +57,14 @@ class TestBlockCombine:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             block_combine(np.zeros(2), np.zeros(3), np.zeros(2))
+
+    def test_bits_at_edges(self):
+        """Every (h, t, x) triple of edge values, against the expression the
+        blend is written as; tobytes sees the sign of a zero and of a NaN."""
+        h, t, x = (v.ravel() for v in np.meshgrid(*[SIGMOID_EDGES] * 3, indexing="ij"))
+        with np.errstate(invalid="ignore"):
+            want = h * t + x * (1.0 - t)
+            assert block_combine(h, t, x).tobytes() == want.tobytes()
 
 
 class TestPlainLayer:
@@ -366,6 +378,22 @@ class TestTracedMethods:
     def test_defined_on_the_class_itself(self, cls, names):
         assert all(callable(cls.__dict__.get(name)) for name in names)
 
+    def test_tracer_installs_over_the_library_and_uninstalls(self, monkeypatch):
+        """Every module function the tracer wraps must exist under its name."""
+        monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+        from tracing import Tracer
+
+        def traced():
+            return checkpoint.load_checkpoint, search._trial_for_index, init.build_network
+
+        originals, tracer = traced(), Tracer()
+        try:
+            tracer.install()
+            assert all(now is not was for now, was in zip(traced(), originals))
+        finally:
+            tracer.uninstall()
+        assert all(now is was for now, was in zip(traced(), originals))
+
 
 class TestSoftmaxHead:
     def test_uniform_logits_loss_is_log_classes(self):
@@ -510,6 +538,21 @@ class TestNetwork:
             Network(None, [HighwayLayer(np.zeros((2, 2)), np.zeros(2),
                                         np.zeros((2, 2)), np.zeros(2))],
                     SoftmaxHead(np.zeros((2, 2)), np.zeros(2)))
+
+    @staticmethod
+    def conv(c):
+        return ConvHighwayLayer(np.zeros((c, c, 3, 3)), np.zeros(c),
+                                np.zeros((c, c, 3, 3)), np.zeros(c))
+
+    def test_conv_channel_break_rejected(self):
+        with pytest.raises(ShapeError):
+            Network(None, [self.conv(2), self.conv(3)], SoftmaxHead(np.zeros((2, 27)),
+                                                                   np.zeros(2)))
+
+    def test_conv_body_with_input_layer_rejected(self):
+        with pytest.raises(ShapeError):
+            Network(PlainLayer(np.zeros((2, 4)), np.zeros(2)), [self.conv(2)],
+                    SoftmaxHead(np.zeros((2, 18)), np.zeros(2)))
 
 
 class TestParameterCounts:

@@ -121,6 +121,18 @@ class TestActivations:
     def test_tanh_derivative_at_zero(self):
         assert activation_derivative(np.array([0.0]), "tanh")[0] == 1.0
 
+    @pytest.mark.parametrize("kind, value, derivative", [
+        ("relu", lambda x: np.maximum(0.0, x), lambda x: (x > 0).astype(np.float64)),
+        ("tanh", np.tanh, lambda x: 1.0 - np.tanh(x) * np.tanh(x)),
+        ("identity", lambda x: x.copy(), np.ones_like),
+    ], ids=["relu", "tanh", "identity"])
+    def test_bits_at_edges(self, kind, value, derivative):
+        """Pinned against the written expressions; tobytes sees the sign of a
+        zero (relu(-0.0) is -0.0, as np.maximum(0.0, x) gives) and of a NaN."""
+        x = SIGMOID_EDGES.reshape(3, 4)
+        assert apply_activation(x, kind).tobytes() == value(x).tobytes()
+        assert activation_derivative(x, kind).tobytes() == derivative(x).tobytes()
+
     @pytest.mark.parametrize("kind", ["relu", "tanh", "identity"])
     def test_derivative_matches_finite_difference(self, kind):
         eps = 1e-6
