@@ -24,6 +24,7 @@ from .analysis import bias_activity_correlation, export_report, gate_report, gat
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import Dataset, load_cifar_binary, load_idx, subset, synthetic_digits
 from .init import InitScheme, NetworkTemplate
+from .layers import BODY_KINDS
 from .ops import Rng, derive_seed, require_int
 from .search import SearchSpace, TrainConfig, config_cells, fit, run_search, write_search_csv
 
@@ -183,8 +184,16 @@ def cmd_sweep(cfg: dict, jobs: int = 1) -> int:
         raise ConfigError("sweep needs a non-empty 'depths' list")
     require_int("jobs", jobs)
     space = _build(SearchSpace, "search", cfg.get("search", {}))
+    try:  # the kinds and depths alone, before the dataset is built
+        for kind in cfg.get("kinds", []):
+            if not isinstance(kind, str) or kind not in BODY_KINDS:
+                raise ValueError(f"unknown network kind: {kind!r}")
+        for depth in cfg["depths"]:
+            require_int("depth", depth)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"kinds x depths: {exc}") from exc
     seed, out_dir, ds, base = _setup(cfg, "sweep")
-    try:  # check every (kind, depth) before the first search starts
+    try:  # check every (kind, depth) template before the first search starts
         templates = [replace(base, kind=kind, depth=depth)
                      for kind in cfg.get("kinds", [base.kind]) for depth in cfg["depths"]]
     except (TypeError, ValueError) as exc:

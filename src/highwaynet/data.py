@@ -101,7 +101,8 @@ def load_idx(images_path, labels_path) -> Dataset:
     if count != count_l:
         raise FormatError(f"image count {count} != label count {count_l}")
 
-    inputs = pixels.astype(np.float64).reshape(count, rows * cols) / 255.0
+    inputs = pixels.astype(np.float64).reshape(count, rows * cols)
+    inputs /= 255.0
     return Dataset(inputs, labels.astype(np.int64), IDX_CLASSES, "idx")
 
 
@@ -146,7 +147,8 @@ def load_cifar_binary(paths, variant: str = "cifar10", as_images: bool = False) 
         all_pixels.append(data[:, label_bytes:])
     pixels = np.concatenate(all_pixels)
     labels = np.concatenate(all_labels)
-    inputs = pixels.astype(np.float64) / 255.0
+    inputs = pixels.astype(np.float64)
+    inputs /= 255.0
     if as_images:
         inputs = inputs.reshape(-1, 3, 32, 32)
     num_classes = 10 if variant == "cifar10" else 100
@@ -199,15 +201,16 @@ def synthetic_digits(count: int, seed: int = 0, side: int = 28,
     """Deterministic digit-like image classification set.
 
     Ten smooth random prototype patterns; each sample is a prototype under a
-    random 2-pixel translation, intensity scaling, and pixel noise, then
-    quantized to uint8 and scaled back to [0, 1] so it round-trips through
-    the IDX container exactly.  Serves as the offline stand-in when the real
-    archives are absent.
+    random 2-pixel translation (one gather from a [classes, 25, side, side]
+    table of the prototypes pre-rolled to every shift), intensity scaling,
+    and pixel noise, then clipped to [0, 1] and rounded to exactly k/255 for
+    an integer k, so it round-trips through the IDX container.  Serves as
+    the offline stand-in when the real archives are absent.
     """
     rng = Rng(seed)
     coarse = 7
-    protos = []
-    for _ in range(num_classes):
+    protos = np.empty((num_classes, side, side))
+    for proto in protos:
         field = rng.uniform(0.0, 1.0, size=(coarse, coarse))
         up = np.kron(field, np.ones((side // coarse + 1, side // coarse + 1)))[:side, :side]
         # cheap box blur so the patterns have strokes rather than blocks
@@ -217,18 +220,20 @@ def synthetic_digits(count: int, seed: int = 0, side: int = 28,
             blurred += np.roll(up, shift, axis=1) + np.roll(up, -shift, axis=1)
         blurred /= 9.0
         lo, hi = blurred.min(), blurred.max()
-        proto = (blurred - lo) / (hi - lo)
+        proto[...] = (blurred - lo) / (hi - lo)
         proto[proto < 0.55] = 0.0  # sparse background like handwriting
-        protos.append(proto)
+    rolled = np.stack([np.roll(protos, (r - 2, c - 2), axis=(1, 2))
+                       for r in range(5) for c in range(5)], axis=1)
 
     labels = rng.integers(num_classes, size=count).astype(np.int64)
-    images = np.empty((count, side, side))
-    shifts = rng.integers(5, size=(count, 2)) - 2
+    shifts = rng.integers(5, size=(count, 2))  # row and column shift, each + 2
     intensity = rng.uniform(0.6, 1.0, size=count)
-    noise = rng.uniform(0.0, 0.3, size=(count, side, side))
-    for i in range(count):
-        img = np.roll(protos[labels[i]], (shifts[i, 0], shifts[i, 1]), axis=(0, 1))
-        images[i] = np.clip(img * intensity[i] + noise[i], 0.0, 1.0)
-    pixels = np.rint(images * 255.0).astype(np.uint8)
-    inputs = pixels.astype(np.float64).reshape(count, side * side) / 255.0
-    return Dataset(inputs, labels, num_classes, "synthetic")
+    images = rng.uniform(0.0, 0.3, size=(count, side, side))  # the noise
+    digits = rolled[labels, 5 * shifts[:, 0] + shifts[:, 1]]
+    digits *= intensity[:, None, None]
+    images += digits
+    np.clip(images, 0.0, 1.0, out=images)
+    images *= 255.0
+    np.rint(images, out=images)
+    images /= 255.0
+    return Dataset(images.reshape(count, side * side), labels, num_classes, "synthetic")

@@ -102,22 +102,24 @@ def activation_derivative(x_pre: np.ndarray, kind: str) -> np.ndarray:
 # The draw at counter position i is mix64(seed + (i+1)*GAMMA), a pure
 # function of (seed, i) over uint64 arithmetic, so the integer stream is
 # bit-identical on every platform and blocks can be generated vectorized.
-# Constants are the standard splitmix64 ones.
+# Constants are the standard splitmix64 ones.  A fill is made _BLOCK draws
+# at a time and allocates nothing per block: the block, its scratch and the
+# counter steps (256 KB each) stay in L2.
 # ---------------------------------------------------------------------------
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_BLOCK = 1 << 15
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    z = z.astype(np.uint64, copy=True)
-    z ^= z >> np.uint64(30)
-    z *= _MIX1
-    z ^= z >> np.uint64(27)
-    z *= _MIX2
-    z ^= z >> np.uint64(31)
+def _mix64(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """splitmix64's finaliser, in place on uint64 z; scratch (z's shape) is overwritten."""
+    for shift, multiplier in ((30, _MIX1), (27, _MIX2)):
+        z ^= np.right_shift(z, np.uint64(shift), out=scratch)
+        z *= multiplier
+    z ^= np.right_shift(z, np.uint64(31), out=scratch)
     return z
 
 
@@ -126,8 +128,8 @@ def derive_seed(master: int, index: int) -> int:
 
     Documented so partial re-runs of a search reproduce individual trials.
     """
-    idx = np.uint64(((index + 1) * 0x9E3779B97F4A7C15) & _MASK64)
-    return int(np.uint64(master & _MASK64) ^ _mix64(idx[None])[0])
+    idx = np.array([((index + 1) * 0x9E3779B97F4A7C15) & _MASK64], dtype=np.uint64)
+    return int(np.uint64(master & _MASK64) ^ _mix64(idx, np.empty_like(idx))[0])
 
 
 def _sized(size, fill):
@@ -151,14 +153,29 @@ class Rng:
         self._counter = 0
 
     def _raw(self, n: int) -> np.ndarray:
-        idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
+        out = np.empty(n, dtype=np.uint64)
+        steps = np.arange(1, min(n, _BLOCK) + 1, dtype=np.uint64)
+        steps *= _GAMMA
+        scratch = np.empty_like(steps)
+        for start in range(0, n, _BLOCK):
+            block = out[start:start + _BLOCK]
+            # seed + (counter + start + i + 1) * GAMMA, mod 2^64
+            base = (self.seed + (self._counter + start) * int(_GAMMA)) & _MASK64
+            np.add(steps[:block.size], np.uint64(base), out=block)
+            _mix64(block, scratch[:block.size])
         self._counter += n
-        return _mix64(np.uint64(self.seed) + idx * _GAMMA)
+        return out
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None) -> np.ndarray:
         """Uniform draws in [low, high); scalar ndarray if size is None."""
-        return _sized(size, lambda n: low + (high - low) * (
-            (self._raw(n) >> np.uint64(11)) * (2.0 ** -53)))
+        def fill(n):
+            raw = self._raw(n)
+            raw >>= np.uint64(11)
+            u = np.multiply(raw, 2.0 ** -53)
+            u *= high - low
+            u += low
+            return u
+        return _sized(size, fill)
 
     def normal(self, mean: float = 0.0, std: float = 1.0, size=None) -> np.ndarray:
         """Gaussian draws via Box-Muller.

@@ -236,6 +236,23 @@ class TestSweep:
         assert (tmp_path / "sweep" / "search_plain_2.csv").exists()
         assert (tmp_path / "sweep" / "search_highway_3.csv").exists()
 
+    @pytest.mark.parametrize("overrides, named", [
+        ({"depths": [2, 0]}, "0"),
+        ({"depths": [2, True]}, "True"),
+        ({"depths": [2], "kinds": ["highway", "hghway"]}, "hghway"),
+        ({"depths": [2], "kinds": [["highway"]]}, "highway"),
+    ], ids=["depth-zero", "depth-bool", "kind-typo", "kind-list"])
+    def test_grid_checked_before_the_dataset(self, tmp_path, capsys, monkeypatch,
+                                             overrides, named):
+        def no_dataset(cfg, seed):
+            raise AssertionError("the dataset was loaded before the grid was checked")
+        monkeypatch.setattr("highwaynet.cli.load_dataset", no_dataset)
+        cfg = write_config(tmp_path / "c.json", out_dir=str(tmp_path / "sweep"), **overrides)
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "kinds x depths" in err and named in err, err
+        assert not (tmp_path / "sweep").exists()
+
     def test_empty_depths_is_usage_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", depths=[],
                            out_dir=str(tmp_path / "sweep"))

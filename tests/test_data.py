@@ -1,3 +1,4 @@
+import hashlib
 import os
 import struct
 
@@ -275,7 +276,56 @@ class TestSubsetAndBatches:
         assert np.abs(full_frac - sub_frac).max() < 0.06
 
 
+def _per_sample_synthetic_digits(count, seed, side=28, num_classes=10):
+    """synthetic_digits as first written, one np.roll per sample: the
+    reference the gathered version must equal bit for bit."""
+    rng = Rng(seed)
+    coarse = 7
+    protos = []
+    for _ in range(num_classes):
+        field = rng.uniform(0.0, 1.0, size=(coarse, coarse))
+        up = np.kron(field, np.ones((side // coarse + 1, side // coarse + 1)))[:side, :side]
+        blurred = up.copy()
+        for shift in (1, 2):
+            blurred += np.roll(up, shift, axis=0) + np.roll(up, -shift, axis=0)
+            blurred += np.roll(up, shift, axis=1) + np.roll(up, -shift, axis=1)
+        blurred /= 9.0
+        lo, hi = blurred.min(), blurred.max()
+        proto = (blurred - lo) / (hi - lo)
+        proto[proto < 0.55] = 0.0
+        protos.append(proto)
+    labels = rng.integers(num_classes, size=count).astype(np.int64)
+    images = np.empty((count, side, side))
+    shifts = rng.integers(5, size=(count, 2)) - 2
+    intensity = rng.uniform(0.6, 1.0, size=count)
+    noise = rng.uniform(0.0, 0.3, size=(count, side, side))
+    for i in range(count):
+        img = np.roll(protos[labels[i]], (shifts[i, 0], shifts[i, 1]), axis=(0, 1))
+        images[i] = np.clip(img * intensity[i] + noise[i], 0.0, 1.0)
+    pixels = np.rint(images * 255.0).astype(np.uint8)
+    return pixels.astype(np.float64).reshape(count, side * side) / 255.0, labels
+
+
 class TestSyntheticDigits:
+    @pytest.mark.parametrize("count, seed, digest", [
+        (10000, 2026, "ca7c60c4e529344b81001c9d41ea9bcbb7144e94db111e29fc84787f83bc9906"),
+        (37, 1, "a3ee703ebf4458b62efcf974e718efcd8c03b97f4cd8ad2a8e749967dd9cab98"),
+        (1, 3, "a4ccfd33bc6407bd49c831990c94f87ae201266d1971783593ffd5d1a9a17e67"),
+        (0, 5, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ])
+    def test_bytes_are_pinned(self, count, seed, digest):
+        """SHA-256 of inputs then labels, recorded from the per-sample code."""
+        ds = synthetic_digits(count, seed)
+        assert ds.inputs.shape == (count, 784) and ds.labels.dtype == np.int64
+        assert hashlib.sha256(ds.inputs.tobytes() + ds.labels.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("count, seed", [(0, 0), (1, 7), (37, 11), (500, 2026)])
+    def test_equals_per_sample_reference(self, count, seed):
+        ds = synthetic_digits(count, seed)
+        inputs, labels = _per_sample_synthetic_digits(count, seed)
+        assert ds.inputs.tobytes() == inputs.tobytes()
+        assert ds.labels.tobytes() == labels.tobytes()
+
     def test_deterministic(self):
         a = synthetic_digits(30, seed=8)
         b = synthetic_digits(30, seed=8)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from highwaynet.ops import (
+    _BLOCK,
     Rng,
     ShapeError,
     activation_derivative,
@@ -182,6 +183,54 @@ class TestRng:
         r = Rng(42)
         parts = np.concatenate([r.normal(size=5), r.normal(size=7)])
         assert np.array_equal(whole, parts)
+
+    def test_draws_past_the_first_block_are_pinned(self):
+        """Values from the far side of one or more fill blocks, recorded
+        from the unblocked fill."""
+        assert Rng(2026).uniform(size=40000)[-3:].tolist() == [
+            0.47528820096039726, 0.10885676511954101, 0.5194879563534827]
+        assert Rng(2026).normal(size=20000)[-2:].tolist() == [
+            -1.289808978235543, -2.0902811227156057]
+        assert Rng(2026).integers(1000, size=70000)[-3:].tolist() == [736, 780, 969]
+        assert Rng(2026).permutation(70000)[-3:].tolist() == [1295, 30658, 26977]
+
+    @pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+    def test_raw_is_splitmix64_of_the_counter(self, n):
+        """Draw i (from 0) is splitmix64 of seed + (i+1)*gamma, computed here
+        with Python integers, at the ends of every block."""
+        mask = (1 << 64) - 1
+
+        def splitmix64(z):
+            z &= mask
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            return z ^ (z >> 31)
+        seed = 2**64 - 12345
+        raw = Rng(seed)._raw(n)
+        points = sorted({i for b in range(0, n, _BLOCK) for i in (b, b + 1, b + _BLOCK - 1)
+                         if i < n} | {n - 1})
+        assert [int(raw[i]) for i in points] == [
+            splitmix64(seed + (i + 1) * 0x9E3779B97F4A7C15) for i in points]
+
+    @pytest.mark.parametrize("method", ["uniform", "normal", "integers", "permutation"])
+    @pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+    def test_block_fills_independent_of_chunking(self, method, n):
+        """A fill split into two calls at an unaligned point gives the same
+        bits and leaves the stream at the same place (a permutation's keys
+        are split instead: a permutation of n is not two shorter ones)."""
+        def fill(r, size):
+            if method == "permutation":
+                return r._raw(size)
+            return getattr(r, method)(*((7,) if method == "integers" else ()), size=size)
+        whole_rng, split_rng = Rng(77), Rng(77)
+        whole = fill(whole_rng, n)
+        split = np.concatenate([fill(split_rng, n // 3 + 1), fill(split_rng, n - n // 3 - 1)])
+        if method == "permutation":
+            whole = np.argsort(whole, kind="stable")
+            split = np.argsort(split, kind="stable")
+            assert np.array_equal(whole, Rng(77).permutation(n))
+        assert whole.tobytes() == split.tobytes()
+        assert whole_rng.uniform() == split_rng.uniform()
 
     def test_uniform_bounds(self):
         u = Rng(3).uniform(-10.0, -1.0, size=10_000)
