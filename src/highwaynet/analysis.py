@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, batches
+from .data import Dataset
 from .layers import HighwayLayer, Network
 
 
@@ -50,17 +50,13 @@ def gate_report(net: Network, samples: Dataset, probe_index: int = 0,
 
     used = min(max_samples, samples.count)
     layers = len(net.body)
-    width = net.body[0].out_width
-    sums = np.zeros((layers, width))
+    sums = np.zeros((layers, net.body[0].out_width))
     flat = samples.flattened()
-    seen = 0
-    capped = Dataset(flat.inputs[:used], flat.labels[:used], flat.num_classes, flat.name)
-    for xb, _ in batches(capped, batch_size):
-        _, caches = net.forward_caches(xb)
+    for start in range(0, used, batch_size):
+        _, caches = net.forward_caches(flat.inputs[start:min(start + batch_size, used)])
         for row, (_, _, cache) in enumerate(caches[-layers:]):
             sums[row] += cache["t"].sum(axis=0)
-        seen += xb.shape[0]
-    mean_activity = sums / seen
+    mean_activity = sums / used
 
     # Block i's output is block i+1's input; the last block's is the result.
     y, caches = net.forward_caches(flat.inputs[probe_index:probe_index + 1])
@@ -69,7 +65,7 @@ def gate_report(net: Network, samples: Dataset, probe_index: int = 0,
     block_outputs = np.stack([cache["x"][0] for cache in body_caches[1:]] + [y[0]])
 
     bias_map = np.stack([layer.b_T.copy() for layer in net.body])
-    return GateReport(bias_map, mean_activity, sample_trace, block_outputs, seen)
+    return GateReport(bias_map, mean_activity, sample_trace, block_outputs, used)
 
 
 def gate_sparsity(report: GateReport, threshold: float = 0.1) -> dict:

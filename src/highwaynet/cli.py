@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import fields, replace
@@ -126,8 +125,8 @@ def _write_manifest(out_dir: str, command: str, cfg: dict, seed: int) -> None:
 
 def _setup(cfg: dict, command: str):
     """What train, search and sweep share: the seed, the output directory
-    (each command makes it after its last config check), the dataset (flat
-    for dense networks, [count, c, h, w] for conv) and its NetworkTemplate."""
+    (each command makes it after its last config check), the flat dataset
+    and its NetworkTemplate."""
     seed = _integer("config", "seed", cfg.get("seed", 0), least=None)
     # rng_seed is a run field: search.fit derives each run's init seed
     scheme = _build(InitScheme, "init", cfg.get("init", {}), rng_seed=0)
@@ -137,11 +136,6 @@ def _setup(cfg: dict, command: str):
     ds = load_dataset(cfg, seed)
     template = _build(NetworkTemplate, "arch", arch, "activation", in_features=ds.features,
                       classes=ds.num_classes, init_kind=scheme.kind)
-    if template.kind == "conv-highway":
-        if ds.features != math.prod(template.image_shape):
-            raise ConfigError(f"dataset features {ds.features} do not fill image "
-                              f"{template.image_shape}")
-        ds = replace(ds, inputs=ds.inputs.reshape(-1, *template.image_shape))
     return seed, cfg.get("out_dir", f"runs/{command}"), ds, template
 
 

@@ -120,7 +120,7 @@ class NetworkTemplate:
     kind: str                # "plain" | "highway" | "conv-highway"
     depth: int
     width: int               # unused by conv bodies, which keep the image's channels
-    in_features: int         # unused by conv bodies
+    in_features: int         # the flat input width; a conv image_shape holds exactly this many
     classes: int
     init_kind: str = "he"
     image_shape: tuple | None = None
@@ -137,5 +137,8 @@ class NetworkTemplate:
             for value in shape:
                 require_int("image_shape", value)
             require_counts(self, "width", least=0)  # conv templates carry width 0
+            if math.prod(shape) != self.in_features:
+                raise ValueError(f"image_shape {tuple(shape)} holds {math.prod(shape)} values, "
+                                 f"not the {self.in_features} input features")
         else:
             require_counts(self, "width", "in_features")

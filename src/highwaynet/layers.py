@@ -10,6 +10,8 @@ tests/test_layers.py are the arbiter.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .ops import (
@@ -256,14 +258,14 @@ class SoftmaxHead(_Layer):
     def classes(self) -> int:
         return self.out_width
 
-    def _shifted_logits(self, x: np.ndarray) -> np.ndarray:
-        """Logits less each row's maximum, so exp cannot overflow."""
+    def _log_probs(self, x: np.ndarray) -> np.ndarray:
+        """Log-softmax of the logits, shifted by each row's maximum so exp cannot overflow."""
         z = matmul(x, self.W.T) + self.b
-        return z - z.max(axis=1, keepdims=True)
+        shifted = z - z.max(axis=1, keepdims=True)
+        return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
     def probabilities(self, x: np.ndarray) -> np.ndarray:
-        e = np.exp(self._shifted_logits(x))
-        return e / e.sum(axis=1, keepdims=True)
+        return np.exp(self._log_probs(x))
 
     def loss_probs(self, x: np.ndarray, labels: np.ndarray):
         """Forward only: (mean cross-entropy over the batch, probs), with
@@ -275,8 +277,7 @@ class SoftmaxHead(_Layer):
             raise ValueError(
                 f"label out of range [0, {self.classes}): min {labels.min()}, max {labels.max()}"
             )
-        shifted = self._shifted_logits(x)
-        log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        log_probs = self._log_probs(x)
         return -log_probs[np.arange(x.shape[0]), labels].mean(), np.exp(log_probs)
 
     def forward_backward(self, x: np.ndarray, labels: np.ndarray):
@@ -350,7 +351,7 @@ class Network:
         return self.body[0].KIND if self.body else PlainLayer.KIND
 
     def _flatten(self, y: np.ndarray) -> np.ndarray:
-        return y.reshape(y.shape[0], -1) if self.is_conv else y
+        return y.reshape(len(y), math.prod(y.shape[1:]))  # dense y: a view with its strides
 
     def _named_layers(self) -> list:
         """(name, layer) for the input layer, if any, then each body layer."""

@@ -84,12 +84,15 @@ def sample_config(space: SearchSpace, rng: Rng) -> TrainConfig:
 def fit(template: NetworkTemplate, dataset: Dataset, config: TrainConfig, seed: int):
     """One run, the same for `train` and a search trial: a fresh network
     initialized from derive_seed(seed, 1), trained with batch order from
-    derive_seed(seed, 2); returns (net, TrainLog)."""
+    derive_seed(seed, 2) on a view of the inputs in the template's shape
+    ([count, c, h, w] for conv); returns (net, TrainLog)."""
     t = template
     net = build_network(t.kind, t.depth, t.width, t.in_features, t.classes, config.activation,
                         image_shape=t.image_shape, kernel_size=t.kernel_size)
     bias = {} if config.gate_bias is None else {"gate_bias": config.gate_bias}
     init_network(net, InitScheme(t.init_kind, rng_seed=derive_seed(seed, 1), **bias))
+    if net.is_conv:
+        dataset = replace(dataset, inputs=dataset.inputs.reshape(-1, *t.image_shape))
     return train(net, dataset, config, Rng(derive_seed(seed, 2)))
 
 

@@ -13,8 +13,10 @@ from highwaynet.layers import count_parameters
 
 
 def make_net(kind="highway", seed=1):
-    """A depth-4 net of kind; the conv kind reads image_shape, not the widths."""
-    net = build_network(kind, 4, 6, 5, 3, "tanh", image_shape=(2, 3, 3))
+    """A depth-4 net of kind; the conv kind reads image_shape (18 inputs),
+    not the widths."""
+    in_features = 18 if kind == "conv-highway" else 5
+    net = build_network(kind, 4, 6, in_features, 3, "tanh", image_shape=(2, 3, 3))
     return init_network(net, InitScheme("he", -3.0, seed))
 
 
@@ -129,7 +131,7 @@ class TestRoundTrip:
         assert count_parameters(restored) == count_parameters(net)
 
     def test_conv_round_trip(self, tmp_path):
-        net = build_network("conv-highway", 2, 0, 0, 4, "relu", image_shape=(2, 5, 5))
+        net = build_network("conv-highway", 2, 0, 50, 4, "relu", image_shape=(2, 5, 5))
         init_network(net, InitScheme("he", -1.5, 9))
         path = tmp_path / "conv.ckpt"
         save_checkpoint(net, path)

@@ -83,6 +83,15 @@ MALFORMED = {
     "cifar-as-images-string": ("train", "dataset", "as_images",
                                {"dataset": {"name": "cifar10", "paths": ["a"], "as_images": "no"}}),
     "out-dir-int": ("train", "config", "out_dir", {"out_dir": 5}),
+    "image-shape-not-inputs": ("train", "arch", "image_shape",
+                               {"arch": {**CONV, "image_shape": [1, 20, 20]}}),
+    "search-image-shape-not-inputs": ("search", "arch", "image_shape",
+                                      {"arch": {**CONV, "image_shape": [4, 28, 28]},
+                                       "search": SEARCH}),
+    "sweep-cell-image-shape-not-inputs": ("sweep", "kinds", "image_shape",
+                                          {"arch": {**HIGHWAY, "image_shape": [1, 20, 20]},
+                                           "kinds": ["highway", "conv-highway"], "depths": [1],
+                                           "search": SEARCH}),
 }
 
 
@@ -252,6 +261,36 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "kinds x depths" in err and named in err, err
         assert not (tmp_path / "sweep").exists()
+
+    MIXED = {
+        "dense-arch": ({**HIGHWAY, "depth": 2, "width": 6, "image_shape": [1, 28, 28]},
+                       ["highway", "conv-highway"], "2"),
+        "conv-arch": ({**CONV, "width": 6}, ["conv-highway", "plain"], "1"),
+    }
+
+    @staticmethod
+    def sweep_rows(tmp_path, name, arch, kinds, jobs="1"):
+        cfg = write_config(tmp_path / f"{name}.json", dataset={"name": "synthetic", "count": 48},
+                           arch=arch, kinds=kinds, depths=[1, 2],
+                           search={"trials": 2, "epochs": 1, "batch_size": 16},
+                           out_dir=str(tmp_path / name))
+        assert main(["sweep", "--config", str(cfg), "--jobs", jobs]) == 0
+        lines = (tmp_path / name / "sweep.csv").read_text().strip().splitlines()[1:]
+        return [line for line in lines if line.startswith("conv-highway,")], lines
+
+    @pytest.mark.parametrize("case", sorted(MIXED))
+    def test_dense_and_conv_kinds_in_one_sweep(self, tmp_path, case):
+        """Each cell shapes the flat dataset for its own kind, and a conv row
+        is the row a conv-only sweep with the same seed and depths writes."""
+        arch, kinds, jobs = self.MIXED[case]
+        conv_rows, lines = self.sweep_rows(tmp_path, "mixed", arch, kinds, jobs)
+        assert [line.split(",")[:2] for line in lines] == [
+            [kind, depth] for kind in kinds for depth in ("1", "2")]
+        for kind in kinds:
+            for depth in (1, 2):
+                assert (tmp_path / "mixed" / f"search_{kind}_{depth}.csv").exists()
+        alone, _ = self.sweep_rows(tmp_path, "alone", {**CONV, "width": 6}, ["conv-highway"])
+        assert conv_rows == alone and len(alone) == 2
 
     def test_empty_depths_is_usage_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", depths=[],

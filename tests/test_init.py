@@ -140,6 +140,8 @@ BAD_ARCHITECTURES = {
                          "image_shape"),
     "conv-kernel-float": (("conv-highway", 2, 0, 0, 3),
                           {"image_shape": (1, 4, 4), "kernel_size": 3.0}, "kernel_size"),
+    "conv-image-not-inputs": (("conv-highway", 2, 0, 784, 3), {"image_shape": (1, 20, 20)},
+                              "image_shape .*400.* 784"),
 }
 
 

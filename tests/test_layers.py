@@ -454,6 +454,21 @@ class TestNetwork:
         assert np.array_equal(net.forward(x), flat)
         assert np.array_equal(net.predict_probs(x), net.head.probabilities(flat))
 
+    def test_empty_batch(self, small_net):
+        net, x = small_net
+        assert net.forward(x[:0]).shape == (0, net.head.in_width)
+        assert net.predict_probs(x[:0]).shape == (0, net.head.classes)
+
+    def test_predict_probs_are_the_training_probs(self):
+        """predict_probs gives the bits of the probabilities the training
+        forward computes (exp of the same log-softmax)."""
+        net = init_network(build_network("highway", 3, 16, 20, 10, "tanh"),
+                           InitScheme("he", -1.0, 7))
+        x = Rng(8).normal(size=(512, 20))
+        labels = Rng(9).integers(10, size=512)
+        _, probs = net.head.loss_probs(net.forward(x), labels)
+        assert net.predict_probs(x).tobytes() == probs.tobytes()
+
     def test_saturated_body_equals_input_plus_head(self):
         rng = Rng(40)
         input_layer = PlainLayer(rng.normal(std=0.3, size=(4, 6)), rng.normal(size=4), "tanh")

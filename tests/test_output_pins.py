@@ -1,0 +1,195 @@
+"""Byte pins on the outputs of the paper's experiments.
+
+Tiny `train`, `search`, `sweep` and `analyze` jobs run through `cli.main`
+in one subprocess with every BLAS/OpenMP thread variable set to 1, and the
+SHA-256 digest of each output file is compared with its pin below: the
+checkpoints, the training logs less their wall-time column, the search and
+sweep tables, the four heatmap tables and the analysis summary.  A broken
+pin is a changed output bit.
+
+The pins hold for one numpy and BLAS build; under another the test skips
+and names both.  The test never records pins.  `python
+tests/test_output_pins.py DIR` prints the digests of the current tree
+(DIR must exist and be empty); copy them here by hand only when an output
+is meant to change.
+"""
+
+import contextlib
+import hashlib
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# The variables perfbench/env.py pins, copied so that tests do not import perfbench.
+THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS",
+    "OMP_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+)
+
+DENSE = {"name": "synthetic", "count": 600, "seed": 5}  # evaluate takes 512 + 88
+CIFAR = {"name": "cifar10", "paths": ["cifar.bin"]}  # written by save_cifar_binary
+HIGHWAY = {"kind": "highway", "depth": 4, "width": 12, "activation": "relu"}
+CONV = {"kind": "conv-highway", "depth": 2, "image_shape": [3, 32, 32], "activation": "relu"}
+SGD = {"lr0": 0.05, "momentum": 0.9, "decay": 0.95, "epochs": 2, "batch_size": 32}
+SEARCH = {"trials": 3, "epochs": 2, "batch_size": 32}
+CONV_SEARCH = {"trials": 2, "epochs": 1, "batch_size": 16}
+
+# (output directory, command, extra arguments, config)
+JOBS = (
+    ("train-plain", "train", [], {"dataset": DENSE, "arch": {**HIGHWAY, "kind": "plain"},
+                                  "sgd": SGD, "seed": 1}),
+    ("train-highway", "train", [], {"dataset": DENSE, "arch": HIGHWAY,
+                                    "init": {"kind": "he", "gate_bias": -2.0}, "sgd": SGD,
+                                    "seed": 2}),
+    ("train-tanh-glorot", "train", [], {"dataset": DENSE, "arch": {**HIGHWAY, "activation": "tanh"},
+                                        "init": {"kind": "glorot", "gate_bias": -1.0},
+                                        "sgd": SGD, "seed": 3}),
+    ("train-conv", "train", [], {"dataset": CIFAR, "arch": CONV,
+                                 "sgd": {**SGD, "batch_size": 16}, "seed": 4}),
+    ("train-diverged", "train", [], {"dataset": DENSE, "arch": HIGHWAY,
+                                     "sgd": {**SGD, "lr0": 1e200}, "seed": 5}),
+    ("search-jobs1", "search", ["--jobs", "1"], {"dataset": DENSE, "arch": HIGHWAY,
+                                                 "search": SEARCH, "seed": 6}),
+    ("search-jobs2", "search", ["--jobs", "2"], {"dataset": DENSE, "arch": HIGHWAY,
+                                                 "search": SEARCH, "seed": 6}),
+    ("search-conv", "search", ["--jobs", "2"], {"dataset": CIFAR, "arch": CONV,
+                                                "search": CONV_SEARCH, "seed": 7}),
+    ("sweep", "sweep", ["--jobs", "2"], {"dataset": DENSE, "arch": HIGHWAY,
+                                         "kinds": ["plain", "highway"], "depths": [2, 3],
+                                         "search": {**SEARCH, "trials": 2}, "seed": 8}),
+    ("analyze", "analyze", ["--checkpoint", os.path.join("train-highway", "model.ckpt"),
+                            "--probe-index", "7"],
+     {"dataset": {**DENSE, "count": 1100}, "seed": 2}),  # gate means over 512 + 512 + 76
+)
+
+# Digests of the current outputs, recorded under this environment.
+PINNED_ENVIRONMENT = {"numpy": "2.4.6", "blas": "scipy-openblas", "blas_version": "0.3.31.188.0"}
+PINS = {
+    "analyze/bias_map.csv":
+        "eb69138f3193dffc0871f2e8990e218088b60d8baeee57f52f301913c2735435",
+    "analyze/block_outputs.csv":
+        "fcbbddb6a5d44585692621b302b6976730f783e44d29d44a1a8b4b16ae6e75fb",
+    "analyze/exit": 0,
+    "analyze/mean_activity.csv":
+        "133dc947933edb5aa61e996061890cc58363b6b26035852229c8a4400c09eb8c",
+    "analyze/sample_trace.csv":
+        "da11a1ff75ec5026560e0e4bf55c98bb3267387fc125298b25f48c07aade22e0",
+    "analyze/summary.json":
+        "c013b14724e010d24e72194403b7ca0eae81fa7407eef4b52af8df87d13d8e46",
+    "search-conv/exit": 0,
+    "search-conv/search.csv":
+        "9cc775e7828040503eaac1162e2f17379276c05fae33e741c20e82a75f8585ac",
+    "search-jobs1/exit": 0,
+    "search-jobs1/search.csv":
+        "dc9c43e9137b3fbeaf3536b4ea8f0054136621dc03dd5b6f7678cbe9818d5c2c",
+    "search-jobs2/exit": 0,
+    "search-jobs2/search.csv":
+        "dc9c43e9137b3fbeaf3536b4ea8f0054136621dc03dd5b6f7678cbe9818d5c2c",
+    "sweep/exit": 0,
+    "sweep/search_highway_2.csv":
+        "aad45a9b15d7de5199506790dfef2919dfa0649f3916b100b8db515f326a968e",
+    "sweep/search_highway_3.csv":
+        "6a7416625626efd1eab55ee423e43903f51160f2db63977bd8ac1533177c26e5",
+    "sweep/search_plain_2.csv":
+        "1c857e68b2169745d5c6b5707f44b53b9009b714aab9a7f1dd27455500e65d4f",
+    "sweep/search_plain_3.csv":
+        "5a0fbfcc5d89b5747c987ea4f17616c8252ba3ccb6715e2421e6b80ae57c175a",
+    "sweep/sweep.csv":
+        "2bc4699d4c12940b8eacb57c45219354b3ba2b27235ee9233c2ba84eb25feb19",
+    "train-conv/exit": 0,
+    "train-conv/log.csv":
+        "b2976f4f2a5e52b000b34850e78ebe77492d7a998e45762ef176ac3fb8494681",
+    "train-conv/model.ckpt":
+        "3e8dfbb4fa1e5d44e76dd06441693a861379045cd51600a9daa4c3a09e8b1970",
+    "train-diverged/exit": 3,
+    "train-diverged/log.csv":
+        "c5ad0867aeb289d90a9ea4a16f40f4c6ad6cf2e4572f12bb4742013c46f6682b",
+    "train-diverged/model.ckpt":
+        "b0e4ee3e28ab1fbe070a7f7a7527ebeb5b9b044c619aa7f59bc85bcb3444d863",
+    "train-highway/exit": 0,
+    "train-highway/log.csv":
+        "5db633ef026c589dee59f37bfedc9b4feee6399ee6063b9c22283bad1a215a13",
+    "train-highway/model.ckpt":
+        "f65bbe70a2c984c13e0159d28b62b2cbea3c4599533f96fe931ab0be952c68c1",
+    "train-plain/exit": 0,
+    "train-plain/log.csv":
+        "0ebe64eab15c1afd085c34cb45f3330e12aedff97dd60a35c820034df59db133",
+    "train-plain/model.ckpt":
+        "09b682bf36046e998d56aa4f4b2a2c8eabe52526cf208e30184800952ab46771",
+    "train-tanh-glorot/exit": 0,
+    "train-tanh-glorot/log.csv":
+        "e9918337a0313b63310b4e6423c20f96cc0d1934cefc398b7dfcf296463777da",
+    "train-tanh-glorot/model.ckpt":
+        "70d5ffdda7dfb088d69dc7d3ad690fa8c183aef8a200d3c84cd124525c7d1018",
+}
+
+
+def environment() -> dict:
+    """numpy's version and the BLAS build it was compiled against."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 prints its config
+        blas = {}
+    return {"numpy": np.__version__, "blas": blas.get("name"), "blas_version": blas.get("version")}
+
+
+def _digest(path) -> str:
+    with open(path, "rb") as f:
+        raw = f.read()
+    if os.path.basename(path) == "log.csv":  # drop the wall-time column
+        raw = b"".join(line.rsplit(b",", 1)[0] + b"\n" for line in raw.splitlines())
+    return hashlib.sha256(raw).hexdigest()
+
+
+def run_jobs(workdir) -> dict:
+    """Run JOBS in workdir; returns each job's exit code and the digest of
+    each file it wrote, less its manifest."""
+    from highwaynet.cli import main
+    from highwaynet.data import Dataset, save_cifar_binary
+    from highwaynet.ops import Rng
+
+    os.chdir(workdir)
+    rng = Rng(9)
+    save_cifar_binary(Dataset(rng.uniform(size=(64, 3072)), rng.integers(10, size=64), 10,
+                              "cifar10"), CIFAR["paths"][0])
+    digests = {}
+    for name, command, extra, cfg in JOBS:
+        with open(f"{name}.json", "w") as f:
+            json.dump(cfg, f)
+        with contextlib.redirect_stdout(sys.stderr):
+            digests[f"{name}/exit"] = main([command, "--config", f"{name}.json",
+                                            "--out-dir", name, *extra])
+        for file in sorted(os.listdir(name)):
+            if file != "manifest.json":
+                digests[f"{name}/{file}"] = _digest(os.path.join(name, file))
+    return digests
+
+
+def test_outputs_match_the_pins(tmp_path):
+    here = environment()
+    if here != PINNED_ENVIRONMENT:
+        pytest.skip(f"pins recorded under {PINNED_ENVIRONMENT}, this environment is {here}")
+    env = {**os.environ, **{var: "1" for var in THREAD_VARS}}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, os.path.abspath(__file__), str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    digests = json.loads(done.stdout)
+    changed = sorted(k for k in set(PINS) | set(digests) if PINS.get(k) != digests.get(k))
+    assert not changed, f"outputs differ from their pins: {changed}"
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2 or not os.path.isdir(sys.argv[1]) or os.listdir(sys.argv[1]):
+        sys.exit("usage: python tests/test_output_pins.py EMPTY_DIR")
+    print(json.dumps(run_jobs(sys.argv[1]), indent=4, sort_keys=True))
