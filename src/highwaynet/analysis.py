@@ -49,18 +49,17 @@ def gate_report(net: Network, samples: Dataset, probe_index: int = 0,
         raise ValueError(f"probe index {probe_index} outside [0, {samples.count})")
 
     used = min(max_samples, samples.count)
-    layers = len(net.body)
-    sums = np.zeros((layers, net.body[0].out_width))
-    flat = samples.flattened()
+    sums = np.zeros((len(net.body), net.body[0].out_width))
+    # caches[0] is the input layer's: a dense net's layers are it, then the body.
     for start in range(0, used, batch_size):
-        _, caches = net.forward_caches(flat.inputs[start:min(start + batch_size, used)])
-        for row, (_, _, cache) in enumerate(caches[-layers:]):
+        _, caches = net.forward_caches(samples.inputs[start:min(start + batch_size, used)])
+        for row, cache in enumerate(caches[1:]):
             sums[row] += cache["t"].sum(axis=0)
     mean_activity = sums / used
 
     # Block i's output is block i+1's input; the last block's is the result.
-    y, caches = net.forward_caches(flat.inputs[probe_index:probe_index + 1])
-    body_caches = [cache for _, _, cache in caches[-layers:]]
+    y, caches = net.forward_caches(samples.inputs[probe_index:probe_index + 1])
+    body_caches = caches[1:]
     sample_trace = np.stack([cache["t"][0] for cache in body_caches])
     block_outputs = np.stack([cache["x"][0] for cache in body_caches[1:]] + [y[0]])
 

@@ -47,8 +47,7 @@ class CheckpointError(ValueError):
 def save_checkpoint(net: Network, path) -> None:
     """Write net to path; a ValueError, before anything is written, if its
     layers use more than the one activation a checkpoint stores."""
-    activations = {layer.activation for layer in (net.input_layer, *net.body)
-                   if layer is not None}
+    activations = {layer.activation for layer in net.layers}
     if len(activations) > 1:
         raise ValueError(f"a checkpoint stores one activation, the network's layers use "
                          f"{', '.join(sorted(activations))}")

@@ -24,7 +24,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .data import Dataset, load_cifar_binary, load_idx, subset, synthetic_digits
 from .init import InitScheme, NetworkTemplate
 from .layers import BODY_KINDS
-from .ops import Rng, derive_seed, require_int
+from .ops import ACTIVATIONS, Rng, derive_seed, require_int
 from .search import SearchSpace, TrainConfig, config_cells, fit, run_search, write_search_csv
 
 EXIT_OK = 0
@@ -131,8 +131,12 @@ def _setup(cfg: dict, command: str):
     # rng_seed is a run field: search.fit derives each run's init seed
     scheme = _build(InitScheme, "init", cfg.get("init", {}), rng_seed=0)
     arch = cfg.get("arch", {})
-    if isinstance(arch, dict) and arch.get("kind") == "conv-highway":
-        arch = {"width": 0, **arch}  # unused by conv layers, which keep the image's channels
+    if isinstance(arch, dict):  # _build below refuses any other arch
+        if arch.get("activation", "relu") not in ACTIVATIONS:
+            raise ConfigError(f"arch: activation must be one of {', '.join(ACTIVATIONS)}, "
+                              f"got {arch['activation']!r}")
+        if arch.get("kind") == "conv-highway":
+            arch = {"width": 0, **arch}  # unused by conv layers, which keep the image's channels
     ds = load_dataset(cfg, seed)
     template = _build(NetworkTemplate, "arch", arch, "activation", in_features=ds.features,
                       classes=ds.num_classes, init_kind=scheme.kind)
@@ -179,6 +183,8 @@ def cmd_sweep(cfg: dict, jobs: int = 1) -> int:
     require_int("jobs", jobs)
     space = _build(SearchSpace, "search", cfg.get("search", {}))
     try:  # the kinds and depths alone, before the dataset is built
+        if cfg.get("kinds") == []:
+            raise ValueError("kinds must not be empty; leave it out to sweep the arch's kind")
         for kind in cfg.get("kinds", []):
             if not isinstance(kind, str) or kind not in BODY_KINDS:
                 raise ValueError(f"unknown network kind: {kind!r}")

@@ -53,13 +53,6 @@ class Dataset:
     def features(self) -> int:
         return int(np.prod(self.inputs.shape[1:]))
 
-    def flattened(self) -> "Dataset":
-        """View with image inputs flattened to [count, features]."""
-        if self.inputs.ndim == 2:
-            return self
-        return Dataset(self.inputs.reshape(self.count, -1), self.labels,
-                       self.num_classes, self.name)
-
 
 def _read_be32(buf: bytes, offset: int, path) -> int:
     if offset + 4 > len(buf):
@@ -107,17 +100,17 @@ def load_idx(images_path, labels_path) -> Dataset:
 
 
 def save_idx(ds: Dataset, images_path, labels_path, rows: int = 28, cols: int = 28) -> None:
-    """Write a dataset back to IDX; inverse of load_idx down to raw bytes."""
-    flat = ds.flattened()
-    if flat.features != rows * cols:
-        raise FormatError(f"{flat.features} features do not fill {rows}x{cols} images")
-    pixels = np.rint(flat.inputs * 255.0).astype(np.uint8)
+    """Write a dataset, flat or image-shaped, back to IDX; inverse of
+    load_idx down to raw bytes."""
+    if ds.features != rows * cols:
+        raise FormatError(f"{ds.features} features do not fill {rows}x{cols} images")
+    pixels = np.rint(ds.inputs * 255.0).astype(np.uint8)
     with open(images_path, "wb") as f:
-        f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, flat.count, rows, cols))
-        f.write(pixels.tobytes())
+        f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, ds.count, rows, cols))
+        f.write(pixels.tobytes())  # C order: each image's pixels row by row, either shape
     with open(labels_path, "wb") as f:
-        f.write(struct.pack(">II", IDX_LABEL_MAGIC, flat.count))
-        f.write(flat.labels.astype(np.uint8).tobytes())
+        f.write(struct.pack(">II", IDX_LABEL_MAGIC, ds.count))
+        f.write(ds.labels.astype(np.uint8).tobytes())
 
 
 def load_cifar_binary(paths, variant: str = "cifar10", as_images: bool = False) -> Dataset:
@@ -157,17 +150,17 @@ def load_cifar_binary(paths, variant: str = "cifar10", as_images: bool = False) 
 
 def save_cifar_binary(ds: Dataset, path, variant: str = "cifar10",
                       coarse_labels: np.ndarray | None = None) -> None:
-    """Write CIFAR-format records; inverse of load_cifar_binary."""
-    flat = ds.flattened()
-    if flat.features != CIFAR_PIXELS:
-        raise FormatError(f"{flat.features} features do not fill 3x32x32 images")
-    pixels = np.rint(flat.inputs * 255.0).astype(np.uint8)
-    fine = flat.labels.astype(np.uint8)[:, None]
+    """Write CIFAR-format records from flat or image-shaped inputs; inverse
+    of load_cifar_binary."""
+    if ds.features != CIFAR_PIXELS:
+        raise FormatError(f"{ds.features} features do not fill 3x32x32 images")
+    pixels = np.rint(ds.inputs.reshape(ds.count, CIFAR_PIXELS) * 255.0).astype(np.uint8)
+    fine = ds.labels.astype(np.uint8)[:, None]
     if variant == "cifar10":
         records = np.concatenate([fine, pixels], axis=1)
     else:
         if coarse_labels is None:
-            coarse_labels = np.zeros(flat.count, dtype=np.uint8)
+            coarse_labels = np.zeros(ds.count, dtype=np.uint8)
         records = np.concatenate([coarse_labels.astype(np.uint8)[:, None], fine, pixels], axis=1)
     with open(path, "wb") as f:
         f.write(records.tobytes())

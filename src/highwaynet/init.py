@@ -137,6 +137,9 @@ class NetworkTemplate:
             for value in shape:
                 require_int("image_shape", value)
             require_counts(self, "width", least=0)  # conv templates carry width 0
+            if self.kernel_size % 2 == 0:
+                raise ValueError(f"kernel_size must be odd for same-size padding, "
+                                 f"got {self.kernel_size}")
             if math.prod(shape) != self.in_features:
                 raise ValueError(f"image_shape {tuple(shape)} holds {math.prod(shape)} values, "
                                  f"not the {self.in_features} input features")

@@ -190,7 +190,7 @@ class ConvHighwayLayer(_GateCore):
         if k != k_w:
             raise ShapeError(f"conv kernels must be [c, c, k, k], got {self.K_H.shape}")
         if k % 2 == 0:
-            raise ValueError(f"kernel size must be odd for same-size padding, got k={k}")
+            raise ValueError(f"kernel_size must be odd for same-size padding, got {k}")
 
     @property
     def channels(self) -> int:
@@ -329,13 +329,16 @@ class Network:
                 )
         if not self.is_conv and head.in_width != width:
             raise ShapeError(f"head expects width {width}, has {head.in_width}")
+        # The layers every forward and backward walk, in order; the head is apart.
+        first = [input_layer] if input_layer is not None else []
+        self.layers = first + body
+        prefixes = ["input"] * len(first) + [f"body.{i}" for i in range(len(body))] + ["head"]
         # theta holds every parameter in parameters() order, and each layer
         # tensor becomes its view (a layer belongs to the last network built).
-        layers = self._named_layers() + [("head", head)]
-        tensors = [p for _, layer in layers for _, p in layer.parameters()]
+        tensors = [p for layer in (*self.layers, head) for _, p in layer.parameters()]
         self.theta = np.concatenate(tensors, axis=None)
         self._parameters, offset = [], 0
-        for prefix, layer in layers:
+        for prefix, layer in zip(prefixes, (*self.layers, head), strict=True):
             for n, p in layer.parameters():
                 setattr(layer, n, self.theta[offset:offset + p.size].reshape(p.shape))
                 self._parameters.append((f"{prefix}.{n}", getattr(layer, n)))
@@ -353,24 +356,20 @@ class Network:
     def _flatten(self, y: np.ndarray) -> np.ndarray:
         return y.reshape(len(y), math.prod(y.shape[1:]))  # dense y: a view with its strides
 
-    def _named_layers(self) -> list:
-        """(name, layer) for the input layer, if any, then each body layer."""
-        layers = [("input", self.input_layer)] if self.input_layer is not None else []
-        return layers + [(f"body.{i}", layer) for i, layer in enumerate(self.body)]
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Forward pass up to the head's (flattened) input for evaluation:
         each layer's cache is dropped as soon as the layer returns."""
-        for _, layer in self._named_layers():
+        for layer in self.layers:
             x = layer.forward(x)[0]
         return self._flatten(x)
 
     def forward_caches(self, x: np.ndarray):
-        """Forward pass keeping every layer's cache (for backward/analysis)."""
+        """Forward pass keeping every layer's cache (for backward/analysis):
+        (output, caches), with caches[i] that of self.layers[i]."""
         caches = []
-        for name, layer in self._named_layers():
+        for layer in self.layers:
             x, cache = layer.forward(x)
-            caches.append((name, layer, cache))
+            caches.append(cache)
         return x, caches
 
     def predict_probs(self, x: np.ndarray) -> np.ndarray:
@@ -390,7 +389,7 @@ def network_forward_backward(net: Network, x_batch: np.ndarray, labels: np.ndarr
     loss, _, d_flat, head_grads = net.head.forward_backward(net._flatten(y), labels)
     dL = d_flat.reshape(y.shape)
     layer_grads = [(net.head, head_grads)]
-    for _, layer, cache in reversed(caches):
+    for layer, cache in zip(reversed(net.layers), reversed(caches)):
         dL, grads = layer.backward(cache, dL)
         layer_grads.append((layer, grads))
     tensors = (grads[n] for layer, grads in reversed(layer_grads) for n in layer.PARAMS)

@@ -92,6 +92,20 @@ MALFORMED = {
                                           {"arch": {**HIGHWAY, "image_shape": [1, 20, 20]},
                                            "kinds": ["highway", "conv-highway"], "depths": [1],
                                            "search": SEARCH}),
+    "kernel-even": ("train", "arch", "kernel_size", {"arch": {**CONV, "kernel_size": 4}}),
+    "search-kernel-even": ("search", "arch", "kernel_size",
+                           {"arch": {**CONV, "kernel_size": 4}, "search": SEARCH}),
+    "sweep-cell-kernel-even": ("sweep", "kinds", "kernel_size",
+                               {"arch": {**HIGHWAY, "image_shape": [1, 28, 28], "kernel_size": 4},
+                                "kinds": ["highway", "conv-highway"], "depths": [1],
+                                "search": SEARCH}),
+    "activation-unknown": ("train", "arch", "activation",
+                           {"arch": {**HIGHWAY, "activation": "sigmoid"}}),
+    "search-activation-unknown": ("search", "arch", "activation",
+                                  {"arch": {**HIGHWAY, "activation": "bogus"}, "search": SEARCH}),
+    "sweep-activation-unknown": ("sweep", "arch", "activation",
+                                 {"arch": {**HIGHWAY, "activation": "bogus"}, "depths": [1],
+                                  "search": SEARCH}),
 }
 
 
@@ -250,7 +264,8 @@ class TestSweep:
         ({"depths": [2, True]}, "True"),
         ({"depths": [2], "kinds": ["highway", "hghway"]}, "hghway"),
         ({"depths": [2], "kinds": [["highway"]]}, "highway"),
-    ], ids=["depth-zero", "depth-bool", "kind-typo", "kind-list"])
+        ({"depths": [2], "kinds": []}, "kinds"),
+    ], ids=["depth-zero", "depth-bool", "kind-typo", "kind-list", "kinds-empty"])
     def test_grid_checked_before_the_dataset(self, tmp_path, capsys, monkeypatch,
                                              overrides, named):
         def no_dataset(cfg, seed):

@@ -237,6 +237,28 @@ class TestCifar:
         assert loaded.inputs.shape == (20, 3, 32, 32)
 
 
+class TestImageShapedWriters:
+    """The writers take flat or image-shaped rows and write the same bytes."""
+
+    @staticmethod
+    def twins(image_shape):
+        rng = Rng(46)
+        flat = rng.uniform(0.0, 1.0, size=(6, int(np.prod(image_shape))))
+        labels = rng.integers(10, size=6).astype(np.int64)
+        return [Dataset(x, labels, 10, "twin") for x in (flat, flat.reshape(6, *image_shape))]
+
+    def test_cifar(self, tmp_path):
+        for i, ds in enumerate(self.twins((3, 32, 32))):
+            save_cifar_binary(ds, tmp_path / f"{i}.bin")
+        assert (tmp_path / "0.bin").read_bytes() == (tmp_path / "1.bin").read_bytes()
+
+    def test_idx(self, tmp_path):
+        for i, ds in enumerate(self.twins((1, 28, 28))):
+            save_idx(ds, tmp_path / f"{i}.idx3", tmp_path / f"{i}.idx1")
+        for suffix in ("idx3", "idx1"):
+            assert (tmp_path / f"0.{suffix}").read_bytes() == (tmp_path / f"1.{suffix}").read_bytes()
+
+
 class TestSubsetAndBatches:
     def test_full_subset_is_permutation(self):
         ds = synthetic_digits(50, seed=1)

@@ -63,9 +63,7 @@ class TestInitNetwork:
         x = Rng(5).uniform(-1.0, 1.0, size=(256, 50))
         _, caches = net.forward_caches(x)
         target = sigmoid(np.array(-2.0))
-        for name, layer, cache in caches:
-            if name == "input":
-                continue
+        for cache in caches[1:]:  # caches[0] is the input layer's
             assert abs(cache["t"].mean() - target) < 0.05
 
     def test_strongly_negative_bias_carries_first_layer_output(self):
@@ -142,6 +140,8 @@ BAD_ARCHITECTURES = {
                           {"image_shape": (1, 4, 4), "kernel_size": 3.0}, "kernel_size"),
     "conv-image-not-inputs": (("conv-highway", 2, 0, 784, 3), {"image_shape": (1, 20, 20)},
                               "image_shape .*400.* 784"),
+    "conv-kernel-even": (("conv-highway", 2, 0, 16, 3),
+                         {"image_shape": (1, 4, 4), "kernel_size": 4}, "kernel_size .*odd"),
 }
 
 

@@ -454,6 +454,21 @@ class TestNetwork:
         assert np.array_equal(net.forward(x), flat)
         assert np.array_equal(net.predict_probs(x), net.head.probabilities(flat))
 
+    def test_caches_follow_the_layer_list(self, small_net):
+        """net.layers is the input layer, if any, then the body; forward_caches
+        keeps one cache per entry, and each layer's input is the previous
+        layer's output, bit for bit."""
+        net, x = small_net
+        assert net.layers == ([] if net.is_conv else [net.input_layer]) + net.body
+        y, caches = net.forward_caches(x)
+        assert len(caches) == len(net.layers)
+        assert caches[0]["x"] is x
+        outputs = [layer.forward(cache["x"])[0] for layer, cache in zip(net.layers, caches)]
+        for cache, output in zip(caches[1:], outputs):
+            assert cache["x"].shape == output.shape
+            assert cache["x"].tobytes() == output.tobytes()
+        assert y.tobytes() == outputs[-1].tobytes()
+
     def test_empty_batch(self, small_net):
         net, x = small_net
         assert net.forward(x[:0]).shape == (0, net.head.in_width)

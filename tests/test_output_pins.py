@@ -3,9 +3,10 @@
 Tiny `train`, `search`, `sweep` and `analyze` jobs run through `cli.main`
 in one subprocess with every BLAS/OpenMP thread variable set to 1, and the
 SHA-256 digest of each output file is compared with its pin below: the
-checkpoints, the training logs less their wall-time column, the search and
-sweep tables, the four heatmap tables and the analysis summary.  A broken
-pin is a changed output bit.
+CIFAR and IDX files the jobs read (written by `save_cifar_binary` and
+`save_idx`), the checkpoints, the training logs less their wall-time
+column, the search and sweep tables, the four heatmap tables and the
+analysis summary.  A broken pin is a changed output bit.
 
 The pins hold for one numpy and BLAS build; under another the test skips
 and names both.  The test never records pins.  `python
@@ -38,6 +39,7 @@ THREAD_VARS = (
 
 DENSE = {"name": "synthetic", "count": 600, "seed": 5}  # evaluate takes 512 + 88
 CIFAR = {"name": "cifar10", "paths": ["cifar.bin"]}  # written by save_cifar_binary
+IDX = {"name": "mnist", "images": "digits.idx3", "labels": "digits.idx1"}  # written by save_idx
 HIGHWAY = {"kind": "highway", "depth": 4, "width": 12, "activation": "relu"}
 CONV = {"kind": "conv-highway", "depth": 2, "image_shape": [3, 32, 32], "activation": "relu"}
 SGD = {"lr0": 0.05, "momentum": 0.9, "decay": 0.95, "epochs": 2, "batch_size": 32}
@@ -54,6 +56,7 @@ JOBS = (
     ("train-tanh-glorot", "train", [], {"dataset": DENSE, "arch": {**HIGHWAY, "activation": "tanh"},
                                         "init": {"kind": "glorot", "gate_bias": -1.0},
                                         "sgd": SGD, "seed": 3}),
+    ("train-idx", "train", [], {"dataset": IDX, "arch": HIGHWAY, "sgd": SGD, "seed": 10}),
     ("train-conv", "train", [], {"dataset": CIFAR, "arch": CONV,
                                  "sgd": {**SGD, "batch_size": 16}, "seed": 4}),
     ("train-diverged", "train", [], {"dataset": DENSE, "arch": HIGHWAY,
@@ -86,6 +89,12 @@ PINS = {
         "da11a1ff75ec5026560e0e4bf55c98bb3267387fc125298b25f48c07aade22e0",
     "analyze/summary.json":
         "c013b14724e010d24e72194403b7ca0eae81fa7407eef4b52af8df87d13d8e46",
+    "data/cifar.bin":
+        "3fce6bb61878d9c313ca6ccdc150254a5caf0751ce6e7a6c3c6be733ce76896a",
+    "data/digits.idx1":
+        "e0e3057bb49025f5bbcd42167f7743ac1983690d1f83dea0193bb565e7860b92",
+    "data/digits.idx3":
+        "46f01d5e5a2418e317bb3924521828bcc00a82fd6c575b46ee65939f818f763f",
     "search-conv/exit": 0,
     "search-conv/search.csv":
         "9cc775e7828040503eaac1162e2f17379276c05fae33e741c20e82a75f8585ac",
@@ -121,6 +130,11 @@ PINS = {
         "5db633ef026c589dee59f37bfedc9b4feee6399ee6063b9c22283bad1a215a13",
     "train-highway/model.ckpt":
         "f65bbe70a2c984c13e0159d28b62b2cbea3c4599533f96fe931ab0be952c68c1",
+    "train-idx/exit": 0,
+    "train-idx/log.csv":
+        "d9088cd8a4149c69bcf411582badf126f54694a1f98f57a6417dd842d035c494",
+    "train-idx/model.ckpt":
+        "5665af9b476647c3c1189475b9b26576a34c2794ec3371c08ebf0f0d31fbcf71",
     "train-plain/exit": 0,
     "train-plain/log.csv":
         "0ebe64eab15c1afd085c34cb45f3330e12aedff97dd60a35c820034df59db133",
@@ -152,17 +166,22 @@ def _digest(path) -> str:
 
 
 def run_jobs(workdir) -> dict:
-    """Run JOBS in workdir; returns each job's exit code and the digest of
-    each file it wrote, less its manifest."""
+    """Write the data files and run JOBS in workdir; returns the digest of
+    each data file, and each job's exit code and the digest of each file it
+    wrote, less its manifest."""
     from highwaynet.cli import main
-    from highwaynet.data import Dataset, save_cifar_binary
+    from highwaynet.data import Dataset, save_cifar_binary, save_idx, synthetic_digits
     from highwaynet.ops import Rng
 
     os.chdir(workdir)
     rng = Rng(9)
     save_cifar_binary(Dataset(rng.uniform(size=(64, 3072)), rng.integers(10, size=64), 10,
                               "cifar10"), CIFAR["paths"][0])
-    digests = {}
+    digits = synthetic_digits(DENSE["count"], seed=11)  # written image-shaped, read back flat
+    save_idx(Dataset(digits.inputs.reshape(-1, 1, 28, 28), digits.labels, 10, "idx"),
+             IDX["images"], IDX["labels"])
+    digests = {f"data/{file}": _digest(file) for file in (*CIFAR["paths"], IDX["images"],
+                                                          IDX["labels"])}
     for name, command, extra, cfg in JOBS:
         with open(f"{name}.json", "w") as f:
             json.dump(cfg, f)
