@@ -178,14 +178,14 @@ def batches(ds: Dataset, batch_size: int, rng: Rng | None = None):
     """Yield (inputs, labels) minibatches covering each example once.
 
     With an rng the epoch order is a fresh full permutation (inputs and
-    labels stay paired); without one the order is sequential.  The last
-    batch may be short.
+    labels stay paired; batches are copies); without one the batches are
+    views of consecutive rows.  The last batch may be short.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    order = rng.permutation(ds.count) if rng is not None else np.arange(ds.count)
+    order = rng.permutation(ds.count) if rng is not None else None
     for start in range(0, ds.count, batch_size):
-        sel = order[start:start + batch_size]
+        sel = slice(start, start + batch_size) if order is None else order[start:start + batch_size]
         yield ds.inputs[sel], ds.labels[sel]
 
 

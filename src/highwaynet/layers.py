@@ -28,11 +28,15 @@ def block_combine(h: np.ndarray, t: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Per-unit gated blend y = h*t + x*(1-t).
 
     t near 0 passes the input through unchanged (carry); t near 1 replaces
-    it with the transform output.
+    it with the transform output.  Computed in place, in this operand order.
     """
     if not (h.shape == t.shape == x.shape):
         raise ShapeError(f"block_combine shapes disagree: {h.shape}, {t.shape}, {x.shape}")
-    return h * t + x * (1.0 - t)
+    y = h * t
+    c = 1.0 - t
+    c *= x
+    y += c
+    return y
 
 
 class _Layer:
@@ -84,7 +88,8 @@ class PlainLayer(_Layer):
             raise ShapeError(f"plain layer shapes disagree: W_H {W_H.shape}, b_H {b_H.shape}")
 
     def forward(self, x: np.ndarray):
-        a = matmul(x, self.W_H.T) + self.b_H
+        a = matmul(x, self.W_H.T)
+        a += self.b_H
         y = apply_activation(a, self.activation)
         return y, {"x": x, "a": a}
 
@@ -92,7 +97,8 @@ class PlainLayer(_Layer):
         x, a = cache["x"], cache["a"]
         if dL_dy.shape != a.shape:
             raise ShapeError(f"upstream gradient {dL_dy.shape} does not match cache {a.shape}")
-        da = dL_dy * activation_derivative(a, self.activation)
+        da = activation_derivative(a, self.activation)
+        da *= dL_dy
         dL_dx = matmul(da, self.W_H)
         return dL_dx, self._grads(matmul(da.T, x), da.sum(axis=0))
 
@@ -112,7 +118,8 @@ class _GateCore(_Layer):
       dL/dx = adj_H(dL/da) + adj_T(dL/ds) + g*(1-t)
 
     The (h - x) factor and the direct g*(1-t) carry term both come from
-    differentiating y = h*t + x*(1-t) with C coupled to 1-T.  The layer
+    differentiating y = h*t + x*(1-t) with C coupled to 1-T.  Both passes
+    take each product in the order written here, in place.  The layer
     supplies adj_H(da) + adj_T(ds) as _adjoint, and turns dL/da and dL/ds
     into its weight and bias gradients in _map_grads.  The carry path is the
     identity, so both weights are [n, n, ...] (WEIGHT_NDIM dims), both
@@ -145,10 +152,17 @@ class _GateCore(_Layer):
         if dL_dy.shape != x.shape:
             raise ShapeError(f"upstream gradient {dL_dy.shape} does not match cache {x.shape}")
         carry = 1.0 - t
-        da = dL_dy * t * activation_derivative(a, self.activation)
-        ds = dL_dy * (h - x) * t * carry
+        da = dL_dy * t
+        da *= activation_derivative(a, self.activation)
+        ds = h - x
+        ds *= dL_dy
+        ds *= t
+        ds *= carry
         grads = self._grads(*self._map_grads(x, da, ds))
-        return self._adjoint(da, ds) + dL_dy * carry, grads
+        dL_dx = self._adjoint(da, ds)
+        carry *= dL_dy
+        dL_dx += carry
+        return dL_dx, grads
 
 
 class HighwayLayer(_GateCore):
@@ -161,13 +175,18 @@ class HighwayLayer(_GateCore):
     forward, backward = _GateCore.forward, _GateCore.backward
 
     def _maps(self, x):
-        return matmul(x, self.W_H.T) + self.b_H, matmul(x, self.W_T.T) + self.b_T
+        a, s = matmul(x, self.W_H.T), matmul(x, self.W_T.T)
+        a += self.b_H
+        s += self.b_T
+        return a, s
 
     def _map_grads(self, x, da, ds):
         return matmul(da.T, x), da.sum(axis=0), matmul(ds.T, x), ds.sum(axis=0)
 
     def _adjoint(self, da, ds):
-        return matmul(da, self.W_H) + matmul(ds, self.W_T)
+        out = matmul(da, self.W_H)
+        out += matmul(ds, self.W_T)
+        return out
 
 
 class ConvHighwayLayer(_GateCore):

@@ -90,7 +90,8 @@ def activation_derivative(x_pre: np.ndarray, kind: str) -> np.ndarray:
         return (x_pre > 0).astype(np.float64)
     if kind == "tanh":
         t = np.tanh(x_pre)
-        return 1.0 - t * t
+        t *= t
+        return np.subtract(1.0, t, out=t)
     if kind == "identity":
         return np.ones_like(x_pre)
     raise ValueError(f"unknown activation kind: {kind!r}")

@@ -290,6 +290,16 @@ class TestSubsetAndBatches:
         for xb, yb in batches(ds, 7, Rng(5)):
             assert np.array_equal(np.rint(xb[:, 0] * 255.0).astype(np.int64), yb)
 
+    def test_sequential_batches_are_views_and_shuffled_ones_copies(self):
+        ds = synthetic_digits(53, seed=4)
+        sequential = list(batches(ds, 8))
+        assert all(np.shares_memory(xb, ds.inputs) and np.shares_memory(yb, ds.labels)
+                   for xb, yb in sequential)
+        assert np.array_equal(np.concatenate([xb for xb, _ in sequential]), ds.inputs)
+        assert np.array_equal(np.concatenate([yb for _, yb in sequential]), ds.labels)
+        assert not any(np.shares_memory(xb, ds.inputs) or np.shares_memory(yb, ds.labels)
+                       for xb, yb in batches(ds, 8, Rng(1)))
+
     def test_label_distribution_roughly_preserved(self):
         ds = synthetic_digits(2000, seed=6)
         sub = subset(ds, 500, Rng(7))

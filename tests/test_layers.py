@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,11 +26,11 @@ from highwaynet.ops import (
     Rng,
     ShapeError,
     activation_derivative,
-    apply_activation,
     matmul,
     sigmoid,
 )
 from test_ops import SIGMOID_EDGES
+from test_output_pins import PINNED_ENVIRONMENT, environment
 
 
 def random_highway(rng: Rng, n: int = 4, activation: str = "tanh") -> HighwayLayer:
@@ -270,7 +271,6 @@ class TestConvHighway:
         upstream = rng.normal(size=y.shape)
         _, grads = layer.backward(cache, upstream)
         # recompute dL/da the way the derivation states and reduce it
-        from highwaynet.ops import activation_derivative
         da = upstream * cache["t"] * activation_derivative(cache["a"], "tanh")
         assert np.allclose(grads["b_H"], da.sum(axis=(0, 2, 3)))
         # and against the finite-difference oracle
@@ -281,14 +281,31 @@ class TestConvHighway:
         assert max_relative_error(grads["b_H"], numerical_gradient(loss, layer.b_H)) < 1e-6
 
 
+# Each activation and its derivative as one expression, apart from ops.
+REFERENCE_PHI = {
+    "relu": (lambda a: np.maximum(0.0, a), lambda a: (a > 0).astype(np.float64)),
+    "tanh": (np.tanh, lambda a: 1.0 - np.tanh(a) * np.tanh(a)),
+    "identity": (np.copy, np.ones_like),
+}
+
+
 def _reference_gate(x, a, s, g, activation):
     """The gate's forward and chain rule, step by step: (y, cache, da, ds, g*(1-t))."""
-    h = apply_activation(a, activation)
+    phi, phi_prime = REFERENCE_PHI[activation]
+    h = phi(a)
     t = sigmoid(s)
     carry = 1.0 - t
-    da = g * t * activation_derivative(a, activation)
+    da = g * t * phi_prime(a)
     ds = g * (h - x) * t * carry
-    return block_combine(h, t, x), {"x": x, "a": a, "h": h, "t": t}, da, ds, g * carry
+    return h * t + x * carry, {"x": x, "a": a, "h": h, "t": t}, da, ds, g * carry
+
+
+def reference_plain(layer, x, g):
+    """(y, cache, dL/dx, [grads]) of a plain layer, written out in full."""
+    phi, phi_prime = REFERENCE_PHI[layer.activation]
+    a = matmul(x, layer.W_H.T) + layer.b_H
+    da = g * phi_prime(a)
+    return phi(a), {"x": x, "a": a}, matmul(da, layer.W_H), [matmul(da.T, x), da.sum(axis=0)]
 
 
 def reference_highway(layer, x, g):
@@ -346,22 +363,114 @@ def assert_same_bits_as(reference, layer, x, rng):
 
 
 class TestGatedLayerBits:
-    """The layers against the gate written out step by step, bit for bit."""
+    """The layers against their forward and chain rule written out step by
+    step, bit for bit, under every activation: the layers compute in place,
+    the references in fresh temporaries."""
+
+    @staticmethod
+    def check_highway(activation, batch):
+        rng = Rng(600 + batch)
+        layer = HighwayLayer(rng.normal(std=0.2, size=(50, 50)), rng.normal(size=50),
+                             rng.normal(std=0.2, size=(50, 50)), rng.normal(size=50) - 2.0,
+                             activation)
+        assert_same_bits_as(reference_highway, layer, rng.normal(size=(batch, 50)), rng)
+
+    @staticmethod
+    def check_conv_highway(activation, k, batch):
+        rng = Rng(700 + 10 * k + batch)
+        layer = ConvHighwayLayer(rng.normal(std=0.3, size=(3, 3, k, k)), rng.normal(size=3),
+                                 rng.normal(std=0.3, size=(3, 3, k, k)), rng.normal(size=3) - 1.0,
+                                 activation)
+        assert_same_bits_as(reference_conv, layer, rng.normal(size=(batch, 3, 9, 11)), rng)
 
     @pytest.mark.parametrize("batch", [1, 7, 64, 512])
     def test_highway(self, batch):
-        rng = Rng(600 + batch)
-        layer = HighwayLayer(rng.normal(std=0.2, size=(50, 50)), rng.normal(size=50),
-                             rng.normal(std=0.2, size=(50, 50)), rng.normal(size=50) - 2.0)
-        assert_same_bits_as(reference_highway, layer, rng.normal(size=(batch, 50)), rng)
+        self.check_highway("relu", batch)
+
+    @pytest.mark.parametrize("activation", ["tanh", "identity"])
+    @pytest.mark.parametrize("batch", [1, 7, 64, 512])
+    def test_highway_tanh_identity(self, activation, batch):
+        self.check_highway(activation, batch)
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("batch", [1, 7, 64])
     def test_conv_highway(self, k, batch):
-        rng = Rng(700 + 10 * k + batch)
-        layer = ConvHighwayLayer(rng.normal(std=0.3, size=(3, 3, k, k)), rng.normal(size=3),
-                                 rng.normal(std=0.3, size=(3, 3, k, k)), rng.normal(size=3) - 1.0)
-        assert_same_bits_as(reference_conv, layer, rng.normal(size=(batch, 3, 9, 11)), rng)
+        self.check_conv_highway("relu", k, batch)
+
+    @pytest.mark.parametrize("activation", ["tanh", "identity"])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("batch", [1, 64])
+    def test_conv_highway_tanh_identity(self, activation, k, batch):
+        self.check_conv_highway(activation, k, batch)
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
+    @pytest.mark.parametrize("batch", [1, 7, 64, 512])
+    def test_plain(self, activation, batch):
+        rng = Rng(800 + batch)
+        layer = PlainLayer(rng.normal(std=0.2, size=(40, 50)), rng.normal(size=40), activation)
+        assert_same_bits_as(reference_plain, layer, rng.normal(size=(batch, 50)), rng)
+
+
+LAYERS_AND_INPUTS = {
+    "plain": lambda rng, act: (random_plain(rng, 6, 5, act), rng.normal(size=(7, 5))),
+    "highway": lambda rng, act: (random_highway(rng, 5, act), rng.normal(size=(7, 5))),
+    "conv-highway": lambda rng, act: (
+        ConvHighwayLayer(rng.normal(size=(2, 2, 3, 3)), rng.normal(size=2),
+                         rng.normal(size=(2, 2, 3, 3)), rng.normal(size=2), act),
+        rng.normal(size=(7, 2, 4, 4))),
+}
+
+
+class TestInputsUntouched:
+    """evaluate and gate_report feed the layers views of the dataset's rows,
+    and gate_report reads cache["t"] after the forward, so no layer may
+    write into its input, its upstream gradient or its cache."""
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
+    @pytest.mark.parametrize("kind", sorted(LAYERS_AND_INPUTS))
+    def test_forward_and_backward_write_only_their_results(self, kind, activation):
+        rng = Rng(810)
+        layer, x = LAYERS_AND_INPUTS[kind](rng, activation)
+        x_bytes = x.tobytes()
+        y, cache = layer.forward(x)
+        cache_bytes = {name: value.tobytes() for name, value in cache.items()}
+        g = rng.normal(size=y.shape)
+        g_bytes = g.tobytes()
+        layer.backward(cache, g)
+        assert x.tobytes() == x_bytes and g.tobytes() == g_bytes
+        assert {name: value.tobytes() for name, value in cache.items()} == cache_bytes
+
+
+class TestAllocationPeak:
+    """tracemalloc's peak during one dense gated forward and one backward at
+    512 x 50: six arrays of that size for the forward (a, s, h, t, y and the
+    carry term) and five plus the gradients for the backward, with 8 KB for
+    the Python objects around them.  Writing each product in place is what
+    holds the step to that; a fresh temporary per product adds at least one
+    more array.  The peaks depend on numpy's allocation pattern, so under a
+    numpy or BLAS build other than the pinned one the test skips."""
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_gated_step_peaks(self, activation):
+        here = environment()
+        if here != PINNED_ENVIRONMENT:
+            pytest.skip(f"peaks measured under {PINNED_ENVIRONMENT}, this environment is {here}")
+        rng = Rng(820)
+        layer = random_highway(rng, 50, activation)
+        x, g = rng.normal(size=(512, 50)), rng.normal(size=(512, 50))
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                return call(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        (_, cache), forward = peak(lambda: layer.forward(x))
+        _, backward = peak(lambda: layer.backward(cache, g))
+        objects = 8192
+        assert forward <= 6 * x.nbytes + objects
+        assert backward <= 5 * x.nbytes + 8 * count_parameters(layer) + objects
 
 
 class TestTracedMethods:
