@@ -16,6 +16,7 @@ import numpy as np
 
 from .data import Dataset
 from .layers import HighwayLayer, Network
+from .ops import require_int
 
 
 class AnalysisError(ValueError):
@@ -43,6 +44,7 @@ def gate_report(net: Network, samples: Dataset, probe_index: int = 0,
         raise AnalysisError(
             f"gate analysis needs a dense gated body, network has {net.body_kind!r}"
         )
+    require_int("max_samples", max_samples)
     if samples.count == 0:
         raise ValueError("empty sample set")
     if not 0 <= probe_index < samples.count:

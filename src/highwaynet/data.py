@@ -11,6 +11,7 @@ Pixels are normalized to [0, 1] by dividing by 255; nothing else.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -20,8 +21,11 @@ from .ops import Rng
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
+IDX_SIDE = 28  # MNIST's 28x28 images
 IDX_CLASSES = 10  # MNIST's digits; a label file need not hold every class
 CIFAR_PIXELS = 3072  # 3 x 32 x 32
+# label bytes per record (the fine label is last) and classes, per variant
+CIFAR_VARIANTS = {"cifar10": (1, 10), "cifar100": (2, 100)}
 
 
 class FormatError(ValueError):
@@ -54,75 +58,62 @@ class Dataset:
         return int(np.prod(self.inputs.shape[1:]))
 
 
-def _read_be32(buf: bytes, offset: int, path) -> int:
-    if offset + 4 > len(buf):
+def _read_idx(path, magic: int, what: str) -> np.ndarray:
+    """The uint8 payload of an IDX file, in the shape its header gives: the
+    magic's low byte counts the big-endian uint32 dimensions after it."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    head = 4 * (1 + (magic & 0xFF))
+    found = int.from_bytes(raw[:4], "big")
+    if len(raw) >= 4 and found != magic:
+        raise FormatError(f"bad {what} magic 0x{found:08x} in {path} (want 0x{magic:08x})")
+    if len(raw) < head:
         raise FormatError(f"truncated header in {path}")
-    return struct.unpack_from(">I", buf, offset)[0]
+    shape = struct.unpack_from(f">{magic & 0xFF}I", raw, 4)
+    payload = np.frombuffer(raw, dtype=np.uint8, offset=head)
+    if payload.size != math.prod(shape):
+        raise FormatError(f"{path}: expected {math.prod(shape)} {what} bytes, found {payload.size}")
+    if 0 in shape:  # also keeps numpy from refusing a huge dimension beside the zero
+        raise FormatError(f"{path} holds no {what}s")
+    return payload.reshape(shape)
+
+
+def _write_idx(path, magic: int, array: np.ndarray) -> None:
+    with open(path, "wb") as f:
+        f.write(struct.pack(f">{1 + array.ndim}I", magic, *array.shape))
+        f.write(array.tobytes())  # C order: each image's pixels row by row
 
 
 def load_idx(images_path, labels_path) -> Dataset:
     """Parse an IDX image/label file pair (the MNIST container format)."""
-    with open(images_path, "rb") as f:
-        raw = f.read()
-    magic = _read_be32(raw, 0, images_path)
-    if magic != IDX_IMAGE_MAGIC:
-        raise FormatError(
-            f"bad image magic 0x{magic:08x} in {images_path} (want 0x{IDX_IMAGE_MAGIC:08x})"
-        )
-    count = _read_be32(raw, 4, images_path)
-    rows = _read_be32(raw, 8, images_path)
-    cols = _read_be32(raw, 12, images_path)
-    if count == 0:
-        raise FormatError(f"{images_path} holds no images")
-    pixels = np.frombuffer(raw, dtype=np.uint8, offset=16)
-    if pixels.size != count * rows * cols:
-        raise FormatError(
-            f"{images_path}: expected {count * rows * cols} pixels, found {pixels.size}"
-        )
-
-    with open(labels_path, "rb") as f:
-        raw_l = f.read()
-    magic_l = _read_be32(raw_l, 0, labels_path)
-    if magic_l != IDX_LABEL_MAGIC:
-        raise FormatError(
-            f"bad label magic 0x{magic_l:08x} in {labels_path} (want 0x{IDX_LABEL_MAGIC:08x})"
-        )
-    count_l = _read_be32(raw_l, 4, labels_path)
-    labels = np.frombuffer(raw_l, dtype=np.uint8, offset=8)
-    if labels.size != count_l:
-        raise FormatError(f"{labels_path}: expected {count_l} labels, found {labels.size}")
-    if count != count_l:
-        raise FormatError(f"image count {count} != label count {count_l}")
-
-    inputs = pixels.astype(np.float64).reshape(count, rows * cols)
+    pixels = _read_idx(images_path, IDX_IMAGE_MAGIC, "image")
+    labels = _read_idx(labels_path, IDX_LABEL_MAGIC, "label")
+    inputs = pixels.astype(np.float64).reshape(len(pixels), -1)
     inputs /= 255.0
-    return Dataset(inputs, labels.astype(np.int64), IDX_CLASSES, "idx")
+    return Dataset(inputs, labels.astype(np.int64), IDX_CLASSES, "idx")  # checks the counts
 
 
-def save_idx(ds: Dataset, images_path, labels_path, rows: int = 28, cols: int = 28) -> None:
-    """Write a dataset, flat or image-shaped, back to IDX; inverse of
-    load_idx down to raw bytes."""
-    if ds.features != rows * cols:
-        raise FormatError(f"{ds.features} features do not fill {rows}x{cols} images")
+def save_idx(ds: Dataset, images_path, labels_path) -> None:
+    """Write a dataset, flat or image-shaped, back to IDX as 28x28 images;
+    inverse of load_idx down to raw bytes."""
+    if ds.features != IDX_SIDE * IDX_SIDE:
+        raise FormatError(f"{ds.features} features do not fill {IDX_SIDE}x{IDX_SIDE} images")
     pixels = np.rint(ds.inputs * 255.0).astype(np.uint8)
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, ds.count, rows, cols))
-        f.write(pixels.tobytes())  # C order: each image's pixels row by row, either shape
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">II", IDX_LABEL_MAGIC, ds.count))
-        f.write(ds.labels.astype(np.uint8).tobytes())
+    _write_idx(images_path, IDX_IMAGE_MAGIC, pixels.reshape(ds.count, IDX_SIDE, IDX_SIDE))
+    _write_idx(labels_path, IDX_LABEL_MAGIC, ds.labels.astype(np.uint8))
+
+
+def _cifar_variant(variant: str) -> tuple[int, int]:
+    if variant not in CIFAR_VARIANTS:
+        raise ValueError(f"unknown CIFAR variant: {variant!r}")
+    return CIFAR_VARIANTS[variant]
 
 
 def load_cifar_binary(paths, variant: str = "cifar10", as_images: bool = False) -> Dataset:
-    """Parse CIFAR binary batch files.
-
-    cifar10 records are 1 label byte + 3072 pixel bytes; cifar100 records
-    carry 2 label bytes (coarse then fine) and the fine label is kept.
-    Inputs come back flattened to 3072 features unless as_images is set.
-    """
-    if variant not in ("cifar10", "cifar100"):
-        raise ValueError(f"unknown CIFAR variant: {variant!r}")
-    label_bytes = 1 if variant == "cifar10" else 2
+    """Parse CIFAR binary batch files: records of CIFAR_VARIANTS[variant]'s
+    label bytes (cifar100's are coarse then fine; the fine label is kept) and
+    3072 pixel bytes.  Inputs come back flat unless as_images is set."""
+    label_bytes, num_classes = _cifar_variant(variant)
     record = label_bytes + CIFAR_PIXELS
     if isinstance(paths, (str, bytes)) or hasattr(paths, "__fspath__"):
         paths = [paths]
@@ -144,24 +135,18 @@ def load_cifar_binary(paths, variant: str = "cifar10", as_images: bool = False) 
     inputs /= 255.0
     if as_images:
         inputs = inputs.reshape(-1, 3, 32, 32)
-    num_classes = 10 if variant == "cifar10" else 100
     return Dataset(inputs, labels, num_classes, variant)
 
 
-def save_cifar_binary(ds: Dataset, path, variant: str = "cifar10",
-                      coarse_labels: np.ndarray | None = None) -> None:
+def save_cifar_binary(ds: Dataset, path, variant: str = "cifar10") -> None:
     """Write CIFAR-format records from flat or image-shaped inputs; inverse
-    of load_cifar_binary."""
+    of load_cifar_binary.  cifar100 coarse labels are written as 0."""
+    label_bytes, _ = _cifar_variant(variant)
     if ds.features != CIFAR_PIXELS:
         raise FormatError(f"{ds.features} features do not fill 3x32x32 images")
     pixels = np.rint(ds.inputs.reshape(ds.count, CIFAR_PIXELS) * 255.0).astype(np.uint8)
-    fine = ds.labels.astype(np.uint8)[:, None]
-    if variant == "cifar10":
-        records = np.concatenate([fine, pixels], axis=1)
-    else:
-        if coarse_labels is None:
-            coarse_labels = np.zeros(ds.count, dtype=np.uint8)
-        records = np.concatenate([coarse_labels.astype(np.uint8)[:, None], fine, pixels], axis=1)
+    coarse = np.zeros((ds.count, label_bytes - 1), dtype=np.uint8)
+    records = np.concatenate([coarse, ds.labels.astype(np.uint8)[:, None], pixels], axis=1)
     with open(path, "wb") as f:
         f.write(records.tobytes())
 
@@ -189,8 +174,7 @@ def batches(ds: Dataset, batch_size: int, rng: Rng | None = None):
         yield ds.inputs[sel], ds.labels[sel]
 
 
-def synthetic_digits(count: int, seed: int = 0, side: int = 28,
-                     num_classes: int = 10) -> Dataset:
+def synthetic_digits(count: int, seed: int = 0) -> Dataset:
     """Deterministic digit-like image classification set.
 
     Ten smooth random prototype patterns; each sample is a prototype under a
@@ -201,8 +185,8 @@ def synthetic_digits(count: int, seed: int = 0, side: int = 28,
     the offline stand-in when the real archives are absent.
     """
     rng = Rng(seed)
-    coarse = 7
-    protos = np.empty((num_classes, side, side))
+    coarse, side = 7, IDX_SIDE
+    protos = np.empty((IDX_CLASSES, side, side))
     for proto in protos:
         field = rng.uniform(0.0, 1.0, size=(coarse, coarse))
         up = np.kron(field, np.ones((side // coarse + 1, side // coarse + 1)))[:side, :side]
@@ -218,7 +202,7 @@ def synthetic_digits(count: int, seed: int = 0, side: int = 28,
     rolled = np.stack([np.roll(protos, (r - 2, c - 2), axis=(1, 2))
                        for r in range(5) for c in range(5)], axis=1)
 
-    labels = rng.integers(num_classes, size=count).astype(np.int64)
+    labels = rng.integers(IDX_CLASSES, size=count).astype(np.int64)
     shifts = rng.integers(5, size=(count, 2))  # row and column shift, each + 2
     intensity = rng.uniform(0.6, 1.0, size=count)
     images = rng.uniform(0.0, 0.3, size=(count, side, side))  # the noise
@@ -229,4 +213,4 @@ def synthetic_digits(count: int, seed: int = 0, side: int = 28,
     images *= 255.0
     np.rint(images, out=images)
     images /= 255.0
-    return Dataset(images.reshape(count, side * side), labels, num_classes, "synthetic")
+    return Dataset(images.reshape(count, side * side), labels, IDX_CLASSES, "synthetic")

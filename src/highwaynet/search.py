@@ -42,6 +42,10 @@ class SearchSpace:
                 raise ValueError(f"{name} must be a (low, high) range of numbers, got {bounds!r}")
         if not self.lr0[0] > 0:
             raise ValueError(f"lr0 range must be positive for log-uniform sampling: {self.lr0}")
+        for end in (0, 1):  # every draw lies between the ends, so both runs must be valid
+            SgdConfig(self.lr0[end], self.momentum[end], self.decay[end])
+            if self.gate_bias is not None:
+                InitScheme(gate_bias=self.gate_bias[end])
         if not self.activations or not set(self.activations) <= set(ACTIVATIONS):
             raise ValueError(f"activations must be a non-empty subset of {ACTIVATIONS}, "
                              f"got {self.activations!r}")

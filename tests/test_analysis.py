@@ -89,6 +89,12 @@ class TestGateReport:
         report = gate_report(net, centered_inputs(50, 6, 9), max_samples=32)
         assert report.sample_count == 32
 
+    @pytest.mark.parametrize("cap", [0, -1, 2.5])
+    def test_sample_cap_below_one_refused(self, cap):
+        net = fresh_highway(depth=3, width=6)
+        with pytest.raises(ValueError, match="max_samples must be an integer >= 1"):
+            gate_report(net, centered_inputs(5, 6, 11), max_samples=cap)
+
     def test_plain_body_unsupported(self):
         net = build_network("plain", 4, 6, 6, 3)
         init_network(net, InitScheme("he", -1.0, 0))

@@ -185,21 +185,21 @@ class TestCorruption:
         raw = bytearray(path.read_bytes())
         raw[0] ^= 0xFF
         path.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointError, match="magic"):
+        with pytest.raises(CheckpointError, match="bad checkpoint magic"):
             load_checkpoint(path)
 
     def test_truncated_blob(self, tmp_path):
         path = tmp_path / "short.ckpt"
         save_checkpoint(make_net(), path)
         path.write_bytes(path.read_bytes()[:-16])
-        with pytest.raises(CheckpointError, match="truncated"):
+        with pytest.raises(CheckpointError, match="truncated parameter blobs"):
             load_checkpoint(path)
 
     def test_trailing_garbage(self, tmp_path):
         path = tmp_path / "long.ckpt"
         save_checkpoint(make_net(), path)
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
-        with pytest.raises(CheckpointError, match="trailing"):
+        with pytest.raises(CheckpointError, match="8 trailing bytes"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("case", sorted(BAD_HEADERS))

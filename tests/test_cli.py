@@ -74,6 +74,12 @@ MALFORMED = {
                           {"arch": {**CONV, "image_shape": [1, 28.0, 28]}}),
     "image-shape-two": ("train", "arch", "image_shape", {"arch": {**CONV, "image_shape": [28, 28]}}),
     "image-shape-int": ("train", "arch", "image_shape", {"arch": {**CONV, "image_shape": 784}}),
+    "search-gate-bias-positive": ("search", "search", "gate_bias",
+                                  {"search": {**SEARCH, "gate_bias": [-3.0, 0.3]}}),
+    "search-momentum-above-one": ("search", "search", "momentum",
+                                  {"search": {**SEARCH, "momentum": [0.5, 1.5]}}),
+    "sweep-decay-zero": ("sweep", "search", "decay",
+                         {"search": {**SEARCH, "decay": [0.0, 1.0]}, "depths": [1]}),
     "search-range-strings": ("search", "search", "momentum",
                              {"search": {**SEARCH, "momentum": ["a", "b"]}}),
     "mnist-dir-int": ("train", "dataset", "dir", {"dataset": {"name": "mnist", "dir": 5}}),

@@ -129,6 +129,20 @@ class TestIdx:
         with pytest.raises(FormatError, match=match):
             load_idx(tmp_path / "i", tmp_path / "l")
 
+    @pytest.mark.parametrize("dims", [(0, 2 ** 32 - 1, 2 ** 32 - 1), (2, 0, 2 ** 32 - 1),
+                                      (2, 3, 0)])
+    def test_zero_dimension_holds_no_images(self, tmp_path, dims):
+        (tmp_path / "i").write_bytes(struct.pack(">IIII", IDX_IMAGE_MAGIC, *dims))
+        (tmp_path / "l").write_bytes(struct.pack(">II", IDX_LABEL_MAGIC, dims[0]) + bytes(dims[0]))
+        with pytest.raises(FormatError, match="i holds no images"):
+            load_idx(tmp_path / "i", tmp_path / "l")
+
+    def test_empty_label_file(self, tmp_path):
+        (tmp_path / "i").write_bytes(idx_bytes([1, 2])[0])
+        (tmp_path / "l").write_bytes(idx_bytes([])[1])
+        with pytest.raises(FormatError, match="l holds no labels"):
+            load_idx(tmp_path / "i", tmp_path / "l")
+
     def test_round_trip_bytes(self, idx_pair, tmp_path):
         ds, images, labels = idx_pair
         loaded = load_idx(images, labels)
@@ -169,7 +183,7 @@ class TestIdx:
         _, images, labels = idx_pair
         bad = tmp_path / "short-images"
         bad.write_bytes(images.read_bytes()[:-10])
-        with pytest.raises(FormatError, match="pixels"):
+        with pytest.raises(FormatError, match="expected 50176 image bytes, found 50166"):
             load_idx(bad, labels)
 
     def test_count_mismatch(self, idx_pair, tmp_path):
@@ -177,7 +191,7 @@ class TestIdx:
         ds2 = synthetic_digits(32, seed=9)
         other_labels = tmp_path / "other-labels"
         save_idx(ds2, tmp_path / "other-images", other_labels)
-        with pytest.raises(FormatError, match="count"):
+        with pytest.raises(FormatError, match="count mismatch: 64 inputs vs 32 labels"):
             load_idx(images, other_labels)
 
     @pytest.mark.skipif(not os.path.exists(MNIST_IMAGES),
@@ -216,13 +230,32 @@ class TestCifar:
         rng = Rng(45)
         inputs = np.rint(rng.uniform(0.0, 1.0, size=(8, 3072)) * 255.0) / 255.0
         fine = rng.integers(100, size=8).astype(np.int64)
-        coarse = rng.integers(20, size=8).astype(np.uint8)
         ds = Dataset(inputs, fine, 100, "cifar100")
         path = tmp_path / "train.bin"
-        save_cifar_binary(ds, path, "cifar100", coarse_labels=coarse)
+        save_cifar_binary(ds, path, "cifar100")
         assert os.path.getsize(path) == 8 * 3074
         loaded = load_cifar_binary([path], "cifar100")
         assert np.array_equal(loaded.labels, fine)
+
+    def test_cifar100_round_trip_bytes(self, tmp_path):
+        """Coarse labels are written as 0, so a write, load, write cycle
+        reproduces the file."""
+        rng = Rng(47)
+        inputs = np.rint(rng.uniform(0.0, 1.0, size=(5, 3072)) * 255.0) / 255.0
+        path = tmp_path / "train.bin"
+        save_cifar_binary(Dataset(inputs, rng.integers(100, size=5), 100, "cifar100"),
+                          path, "cifar100")
+        assert path.read_bytes()[0::3074] == bytes(5)  # the coarse label bytes
+        again = load_cifar_binary(path, "cifar100")  # a bare path, not a list
+        save_cifar_binary(again, tmp_path / "again.bin", "cifar100")
+        assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("variant", ["cifar-10", "CIFAR100", "cifar20"])
+    def test_writer_refuses_unknown_variant(self, cifar10_file, tmp_path, variant):
+        ds, _ = cifar10_file
+        with pytest.raises(ValueError, match=f"unknown CIFAR variant: '{variant}'"):
+            save_cifar_binary(ds, tmp_path / "out.bin", variant)
+        assert not (tmp_path / "out.bin").exists()
 
     def test_truncated_file(self, cifar10_file, tmp_path):
         _, path = cifar10_file

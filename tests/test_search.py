@@ -51,6 +51,25 @@ class TestSampleConfig:
         with pytest.raises(ValueError, match="log-uniform"):
             SearchSpace(lr0=(0.0, 0.1))
 
+    @pytest.mark.parametrize("field, bounds, message", [
+        ("momentum", (0.5, 1.5), r"momentum must be in \[0, 1\), got 1.5"),
+        ("momentum", (-0.1, 0.5), r"momentum must be in \[0, 1\), got -0.1"),
+        ("decay", (0.0, 1.0), r"decay must be in \(0, 1\], got 0.0"),
+        ("decay", (0.9, 1.1), r"decay must be in \(0, 1\], got 1.1"),
+        ("gate_bias", (-3.0, 0.3), "gate_bias must be negative, got 0.3"),
+        ("gate_bias", (-3.0, 0.0), "gate_bias must be negative, got 0.0"),
+    ])
+    def test_range_end_outside_its_rule_rejected(self, field, bounds, message):
+        """A range is refused whole, not only when a draw lands outside the
+        rule SgdConfig or InitScheme applies to one run."""
+        with pytest.raises(ValueError, match=message):
+            SearchSpace(**{field: bounds})
+
+    def test_range_ends_on_the_rules_accepted(self):
+        space = SearchSpace(momentum=(0.0, 0.0), decay=(1.0, 1.0), gate_bias=(-1e-3, -1e-3))
+        assert sample_config(space, Rng(4)).momentum == 0.0
+        assert SearchSpace(gate_bias=None).gate_bias is None
+
 
 class TestFieldChecks:
     @pytest.mark.parametrize("field", ["trials", "epochs", "batch_size"])
