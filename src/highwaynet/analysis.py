@@ -45,6 +45,7 @@ def gate_report(net: Network, samples: Dataset, probe_index: int = 0,
             f"gate analysis needs a dense gated body, network has {net.body_kind!r}"
         )
     require_int("max_samples", max_samples)
+    require_int("batch_size", batch_size)
     if samples.count == 0:
         raise ValueError("empty sample set")
     if not 0 <= probe_index < samples.count:

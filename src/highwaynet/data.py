@@ -93,14 +93,27 @@ def load_idx(images_path, labels_path) -> Dataset:
     return Dataset(inputs, labels.astype(np.int64), IDX_CLASSES, "idx")  # checks the counts
 
 
+def _as_bytes(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """(pixels, labels) of ds as uint8, refusing a label outside [0, 255] or
+    a pixel outside [0, 1] (NaN included), which a byte would wrap."""
+    labels, inputs = ds.labels, ds.inputs
+    if labels.size and not (labels.min() >= 0 and labels.max() <= 255):
+        raise FormatError(f"labels must fit in a byte, [0, 255]: found {labels.min()} "
+                          f"to {labels.max()}")
+    if inputs.size and not (inputs.min() >= 0.0 and inputs.max() <= 1.0):
+        raise FormatError(f"pixels must lie in [0, 1] to be written as bytes: found "
+                          f"{inputs.min()} to {inputs.max()}")
+    return np.rint(inputs * 255.0).astype(np.uint8), labels.astype(np.uint8)
+
+
 def save_idx(ds: Dataset, images_path, labels_path) -> None:
     """Write a dataset, flat or image-shaped, back to IDX as 28x28 images;
     inverse of load_idx down to raw bytes."""
     if ds.features != IDX_SIDE * IDX_SIDE:
         raise FormatError(f"{ds.features} features do not fill {IDX_SIDE}x{IDX_SIDE} images")
-    pixels = np.rint(ds.inputs * 255.0).astype(np.uint8)
+    pixels, labels = _as_bytes(ds)
     _write_idx(images_path, IDX_IMAGE_MAGIC, pixels.reshape(ds.count, IDX_SIDE, IDX_SIDE))
-    _write_idx(labels_path, IDX_LABEL_MAGIC, ds.labels.astype(np.uint8))
+    _write_idx(labels_path, IDX_LABEL_MAGIC, labels)
 
 
 def _cifar_variant(variant: str) -> tuple[int, int]:
@@ -118,7 +131,7 @@ def load_cifar_binary(paths, variant: str = "cifar10", as_images: bool = False) 
     if isinstance(paths, (str, bytes)) or hasattr(paths, "__fspath__"):
         paths = [paths]
 
-    all_pixels, all_labels = [], []
+    files = []
     for path in paths:
         with open(path, "rb") as f:
             raw = f.read()
@@ -126,13 +139,18 @@ def load_cifar_binary(paths, variant: str = "cifar10", as_images: bool = False) 
             raise FormatError(
                 f"{path}: size {len(raw)} is not a multiple of the {record}-byte record"
             )
-        data = np.frombuffer(raw, dtype=np.uint8).reshape(-1, record)
-        all_labels.append(data[:, label_bytes - 1].astype(np.int64))  # fine label last
-        all_pixels.append(data[:, label_bytes:])
-    pixels = np.concatenate(all_pixels)
-    labels = np.concatenate(all_labels)
-    inputs = pixels.astype(np.float64)
-    inputs /= 255.0
+        files.append(np.frombuffer(raw, dtype=np.uint8).reshape(-1, record))
+    if not files:
+        raise FormatError("empty path list: no CIFAR batch file to read")
+    # Each file's bytes are decoded straight into the one result array.
+    count = sum(len(records) for records in files)
+    inputs, labels = np.empty((count, CIFAR_PIXELS)), np.empty(count, dtype=np.int64)
+    start = 0
+    for records in files:
+        rows = slice(start, start + len(records))
+        np.divide(records[:, label_bytes:], 255.0, out=inputs[rows])
+        labels[rows] = records[:, label_bytes - 1]  # the fine label is last
+        start = rows.stop
     if as_images:
         inputs = inputs.reshape(-1, 3, 32, 32)
     return Dataset(inputs, labels, num_classes, variant)
@@ -144,9 +162,10 @@ def save_cifar_binary(ds: Dataset, path, variant: str = "cifar10") -> None:
     label_bytes, _ = _cifar_variant(variant)
     if ds.features != CIFAR_PIXELS:
         raise FormatError(f"{ds.features} features do not fill 3x32x32 images")
-    pixels = np.rint(ds.inputs.reshape(ds.count, CIFAR_PIXELS) * 255.0).astype(np.uint8)
+    pixels, labels = _as_bytes(ds)
     coarse = np.zeros((ds.count, label_bytes - 1), dtype=np.uint8)
-    records = np.concatenate([coarse, ds.labels.astype(np.uint8)[:, None], pixels], axis=1)
+    records = np.concatenate([coarse, labels[:, None], pixels.reshape(ds.count, CIFAR_PIXELS)],
+                             axis=1)
     with open(path, "wb") as f:
         f.write(records.tobytes())
 

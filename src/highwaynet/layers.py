@@ -93,14 +93,22 @@ class PlainLayer(_Layer):
         y = apply_activation(a, self.activation)
         return y, {"x": x, "a": a}
 
-    def backward(self, cache: dict, dL_dy: np.ndarray):
+    def _param_step(self, cache: dict, dL_dy: np.ndarray):
+        """(parameter gradients, dL/da), for backward and param_grads."""
         x, a = cache["x"], cache["a"]
         if dL_dy.shape != a.shape:
             raise ShapeError(f"upstream gradient {dL_dy.shape} does not match cache {a.shape}")
         da = activation_derivative(a, self.activation)
         da *= dL_dy
-        dL_dx = matmul(da, self.W_H)
-        return dL_dx, self._grads(matmul(da.T, x), da.sum(axis=0))
+        return self._grads(matmul(da.T, x), da.sum(axis=0)), da
+
+    def backward(self, cache: dict, dL_dy: np.ndarray):
+        grads, da = self._param_step(cache, dL_dy)
+        return matmul(da, self.W_H), grads
+
+    def param_grads(self, cache: dict, dL_dy: np.ndarray) -> dict:
+        """backward's parameter gradients alone, with no dL/dx."""
+        return self._param_step(cache, dL_dy)[0]
 
 
 class _GateCore(_Layer):
@@ -147,7 +155,8 @@ class _GateCore(_Layer):
         y = block_combine(h, t, x)
         return y, {"x": x, "a": a, "h": h, "t": t}
 
-    def backward(self, cache: dict, dL_dy: np.ndarray):
+    def _param_step(self, cache: dict, dL_dy: np.ndarray):
+        """(parameter gradients, dL/da, dL/ds, 1-t), for backward and param_grads."""
         x, a, h, t = cache["x"], cache["a"], cache["h"], cache["t"]
         if dL_dy.shape != x.shape:
             raise ShapeError(f"upstream gradient {dL_dy.shape} does not match cache {x.shape}")
@@ -158,11 +167,18 @@ class _GateCore(_Layer):
         ds *= dL_dy
         ds *= t
         ds *= carry
-        grads = self._grads(*self._map_grads(x, da, ds))
+        return self._grads(*self._map_grads(x, da, ds)), da, ds, carry
+
+    def backward(self, cache: dict, dL_dy: np.ndarray):
+        grads, da, ds, carry = self._param_step(cache, dL_dy)
         dL_dx = self._adjoint(da, ds)
         carry *= dL_dy
         dL_dx += carry
         return dL_dx, grads
+
+    def param_grads(self, cache: dict, dL_dy: np.ndarray) -> dict:
+        """backward's parameter gradients alone: no adjoint, no dL/dx."""
+        return self._param_step(cache, dL_dy)[0]
 
 
 class HighwayLayer(_GateCore):
@@ -403,14 +419,18 @@ def network_forward_backward(net: Network, x_batch: np.ndarray, labels: np.ndarr
     """One forward and one reverse sweep; gradients for every parameter.
 
     Returns (loss, grads): fresh arrays keyed and ordered like net.parameters().
+    The sweep ends at the first layer's parameter gradients: nothing reads
+    the gradient for the input data, so it is never computed.
     """
     y, caches = net.forward_caches(x_batch)
     loss, _, d_flat, head_grads = net.head.forward_backward(net._flatten(y), labels)
     dL = d_flat.reshape(y.shape)
     layer_grads = [(net.head, head_grads)]
-    for layer, cache in zip(reversed(net.layers), reversed(caches)):
+    first = net.layers[0]
+    for layer, cache in zip(net.layers[:0:-1], caches[:0:-1]):
         dL, grads = layer.backward(cache, dL)
         layer_grads.append((layer, grads))
+    layer_grads.append((first, first.param_grads(caches[0], dL)))
     tensors = (grads[n] for layer, grads in reversed(layer_grads) for n in layer.PARAMS)
     return loss, {name: g for (name, _), g in zip(net._parameters, tensors, strict=True)}
 

@@ -105,7 +105,8 @@ def activation_derivative(x_pre: np.ndarray, kind: str) -> np.ndarray:
 # bit-identical on every platform and blocks can be generated vectorized.
 # Constants are the standard splitmix64 ones.  A fill is made _BLOCK draws
 # at a time and allocates nothing per block: the block, its scratch and the
-# counter steps (256 KB each) stay in L2.
+# counter steps (256 KB each) stay in L2, and uniform turns each block into
+# floats while it is there.
 # ---------------------------------------------------------------------------
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -153,8 +154,11 @@ class Rng:
         self.seed = int(seed) & _MASK64
         self._counter = 0
 
-    def _raw(self, n: int) -> np.ndarray:
-        out = np.empty(n, dtype=np.uint64)
+    def _blocks(self, out: np.ndarray):
+        """Fill uint64 out with the next out.size raw draws, yielding each
+        _BLOCK-sized view of out as soon as it is drawn; the caller consumes
+        every block."""
+        n = out.size
         steps = np.arange(1, min(n, _BLOCK) + 1, dtype=np.uint64)
         steps *= _GAMMA
         scratch = np.empty_like(steps)
@@ -163,18 +167,25 @@ class Rng:
             # seed + (counter + start + i + 1) * GAMMA, mod 2^64
             base = (self.seed + (self._counter + start) * int(_GAMMA)) & _MASK64
             np.add(steps[:block.size], np.uint64(base), out=block)
-            _mix64(block, scratch[:block.size])
+            yield _mix64(block, scratch[:block.size])
         self._counter += n
+
+    def _raw(self, n: int) -> np.ndarray:
+        out = np.empty(n, dtype=np.uint64)
+        for _ in self._blocks(out):
+            pass
         return out
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None) -> np.ndarray:
-        """Uniform draws in [low, high); scalar ndarray if size is None."""
+        """Uniform draws in [low, high); scalar ndarray if size is None.
+        Each block of draws becomes floats in place, in the result's memory."""
         def fill(n):
-            raw = self._raw(n)
-            raw >>= np.uint64(11)
-            u = np.multiply(raw, 2.0 ** -53)
-            u *= high - low
-            u += low
+            u = np.empty(n)
+            for raw in self._blocks(u.view(np.uint64)):
+                raw >>= np.uint64(11)
+                block = np.multiply(raw, 2.0 ** -53, out=raw.view(np.float64))
+                block *= high - low
+                block += low
             return u
         return _sized(size, fill)
 

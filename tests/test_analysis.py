@@ -95,6 +95,12 @@ class TestGateReport:
         with pytest.raises(ValueError, match="max_samples must be an integer >= 1"):
             gate_report(net, centered_inputs(5, 6, 11), max_samples=cap)
 
+    @pytest.mark.parametrize("batch_size", [0, -1, 2.5])
+    def test_batch_size_below_one_refused(self, batch_size):
+        net = fresh_highway(depth=3, width=6)
+        with pytest.raises(ValueError, match="batch_size must be an integer >= 1"):
+            gate_report(net, centered_inputs(5, 6, 11), batch_size=batch_size)
+
     def test_plain_body_unsupported(self):
         net = build_network("plain", 4, 6, 6, 3)
         init_network(net, InitScheme("he", -1.0, 0))

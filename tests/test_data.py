@@ -269,6 +269,43 @@ class TestCifar:
         loaded = load_cifar_binary([path], "cifar10", as_images=True)
         assert loaded.inputs.shape == (20, 3, 32, 32)
 
+    def test_empty_path_list_refused(self):
+        with pytest.raises(FormatError, match="empty path list"):
+            load_cifar_binary([], "cifar10")
+
+    def test_files_are_read_in_order(self, cifar10_file):
+        ds, path = cifar10_file
+        twice = load_cifar_binary([path, path], "cifar10")
+        assert twice.inputs.tobytes() == np.concatenate([ds.inputs, ds.inputs]).tobytes()
+        assert np.array_equal(twice.labels, np.concatenate([ds.labels, ds.labels]))
+
+
+class TestWriterRefusals:
+    """A label or pixel that a byte cannot hold is refused before the file is
+    opened, not written modulo 256."""
+
+    WRITERS = {
+        "idx": (784, lambda ds, out: save_idx(ds, out / "images", out / "labels")),
+        "cifar": (CIFAR_PIXELS, lambda ds, out: save_cifar_binary(ds, out / "images")),
+    }
+
+    @pytest.mark.parametrize("label, pixel, match", [
+        (256, 0.5, "labels must fit in a byte"),
+        (-1, 0.5, "labels must fit in a byte"),
+        (3, 1.5, r"pixels must lie in \[0, 1\]"),
+        (3, -0.01, r"pixels must lie in \[0, 1\]"),
+        (3, np.nan, r"pixels must lie in \[0, 1\]"),
+    ])
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_refused_before_writing(self, tmp_path, writer, label, pixel, match):
+        features, write = self.WRITERS[writer]
+        inputs = np.full((2, features), 0.25)
+        inputs[1, 7] = pixel
+        ds = Dataset(inputs, np.array([0, label]), 300, "bad")
+        with pytest.raises(FormatError, match=match):
+            write(ds, tmp_path)
+        assert os.listdir(tmp_path) == []
+
 
 class TestImageShapedWriters:
     """The writers take flat or image-shaped rows and write the same bytes."""

@@ -355,8 +355,11 @@ def assert_same_bits_as(reference, layer, x, rng):
     dL_dx, grads = layer.backward(cache, g)
     ref_y, ref_cache, ref_dx, ref_grads = reference(layer, x, g)
     assert sorted(cache) == sorted(ref_cache)
+    param_grads = layer.param_grads(cache, g)
+    assert list(param_grads) == list(grads)
     pairs = [(y, ref_y), (dL_dx, ref_dx), *((cache[k], ref_cache[k]) for k in ref_cache),
-             *zip(grads.values(), ref_grads, strict=True)]
+             *zip(grads.values(), ref_grads, strict=True),
+             *zip(param_grads.values(), ref_grads, strict=True)]
     for got, want in pairs:
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -692,6 +695,78 @@ class TestNetwork:
         with pytest.raises(ShapeError):
             Network(PlainLayer(np.zeros((2, 4)), np.zeros(2)), [self.conv(2)],
                     SoftmaxHead(np.zeros((2, 18)), np.zeros(2)))
+
+
+def reference_sweep(net, x, labels):
+    """network_forward_backward written out with backward on every layer,
+    the input layer included: (loss, [(name, gradient)])."""
+    y, caches = net.forward_caches(x)
+    loss, _, d_flat, head_grads = net.head.forward_backward(net._flatten(y), labels)
+    dL, tensors = d_flat.reshape(y.shape), list(head_grads.values())
+    for layer, cache in zip(reversed(net.layers), reversed(caches)):
+        dL, grads = layer.backward(cache, dL)
+        tensors = list(grads.values()) + tensors
+    return loss, [(name, g) for (name, _), g in zip(net.parameters(), tensors, strict=True)]
+
+
+def sweep_net(kind, depth=4):
+    """(net, image_shape): a dense net takes 30 features into width 20 (30
+    appears in no other shape) and has image_shape None; a conv net takes
+    3x6x6 images."""
+    image_shape = (3, 6, 6) if kind == "conv-highway" else None
+    net = build_network(kind, depth, 20, 30 if image_shape is None else 108, 5, "tanh",
+                        image_shape=image_shape)
+    init_network(net, InitScheme("he", -1.0, 90))
+    return net, image_shape
+
+
+class TestNetworkSweep:
+    """The reverse sweep ends at the first layer's parameter gradients: no
+    gradient for the input data is computed, and nothing else changes."""
+
+    @pytest.mark.parametrize("batch", [1, 7, 64])
+    @pytest.mark.parametrize("kind", ["plain", "highway", "conv-highway"])
+    def test_equals_backward_on_every_layer(self, kind, batch):
+        net, image_shape = sweep_net(kind)
+        rng = Rng(91 + batch)
+        x = rng.normal(size=(batch, *(image_shape or (30,))))
+        labels = rng.integers(5, size=batch)
+        loss, grads = network_forward_backward(net, x, labels)
+        ref_loss, ref_grads = reference_sweep(net, x, labels)
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+        assert list(grads) == [name for name, _ in ref_grads]
+        for name, want in ref_grads:
+            assert grads[name].dtype == want.dtype and grads[name].shape == want.shape, name
+            assert grads[name].tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("kind", ["plain", "highway"])
+    def test_dense_input_layer_makes_two_products(self, kind, monkeypatch):
+        """The input layer's forward and weight gradient touch its 30-wide
+        side; no product da @ W_H makes the 30-wide dL/dx."""
+        net, _ = sweep_net(kind)
+        shapes = []
+
+        def counted(a, b):
+            shapes.append((a.shape, b.shape))
+            return matmul(a, b)
+
+        monkeypatch.setattr("highwaynet.layers.matmul", counted)
+        network_forward_backward(net, Rng(92).normal(size=(64, 30)), Rng(93).integers(5, size=64))
+        assert sum(30 in a + b for a, b in shapes) == 2
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_conv_net_skips_the_first_adjoint(self, depth, monkeypatch):
+        net, image_shape = sweep_net("conv-highway", depth)
+        adjoint, calls = ConvHighwayLayer._adjoint, []
+
+        def counted(self, da, ds):
+            calls.append(self)
+            return adjoint(self, da, ds)
+
+        monkeypatch.setattr(ConvHighwayLayer, "_adjoint", counted)
+        network_forward_backward(net, Rng(94).normal(size=(7, *image_shape)),
+                                 Rng(95).integers(5, size=7))
+        assert calls == net.layers[:0:-1]
 
 
 class TestParameterCounts:
