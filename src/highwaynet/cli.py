@@ -21,10 +21,10 @@ from dataclasses import fields, replace
 from . import __version__
 from .analysis import bias_activity_correlation, export_report, gate_report, gate_sparsity
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import Dataset, load_cifar_binary, load_idx, subset, synthetic_digits
+from .data import Dataset, DatasetSpec
 from .init import InitScheme, NetworkTemplate
 from .layers import BODY_KINDS
-from .ops import ACTIVATIONS, Rng, derive_seed, require_int
+from .ops import ACTIVATIONS, derive_seed, require_int
 from .search import SearchSpace, TrainConfig, config_cells, fit, run_search, write_search_csv
 
 EXIT_OK = 0
@@ -34,8 +34,6 @@ EXIT_DIVERGED = 3
 # The keys a section may hold, each with the type no later check enforces.
 CONFIG_KEYS = {"dataset": object, "arch": object, "init": object, "sgd": object,
                "search": object, "depths": list, "kinds": list, "seed": object, "out_dir": str}
-DATASET_KEYS = {"name": object, "seed": object, "count": object, "dir": str, "images": str,
-                "labels": str, "paths": list, "subset": object}
 
 
 class ConfigError(ValueError):
@@ -54,15 +52,6 @@ def _section(name: str, section, keys) -> dict:
         if isinstance(keys, dict) and not isinstance(value, keys[key]):
             raise ConfigError(f"{name}: {key} must be a {keys[key].__name__}, got {value!r}")
     return section
-
-
-def _integer(name: str, key: str, value, least: int | None = 1) -> int:
-    """value, unless it is not an integer >= least: then a ConfigError
-    naming the config section and the key."""
-    try:
-        return require_int(key, value, least)
-    except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def _build(cls, name: str, section, *extra: str, **run):
@@ -90,30 +79,7 @@ def load_config(path) -> dict:
 def load_dataset(cfg: dict, seed: int) -> Dataset:
     if "dataset" not in cfg:
         raise ConfigError("config is missing the 'dataset' section (what to train on)")
-    section = _section("dataset", cfg["dataset"], DATASET_KEYS)
-    name = section.get("name", "synthetic")
-    ds_seed = _integer("dataset", "seed", section.get("seed", seed), least=None)
-    if name == "synthetic":
-        ds = synthetic_digits(_integer("dataset", "count", section.get("count", 10000)), ds_seed)
-    elif name == "mnist":
-        directory = section.get("dir", "data")
-        images = section.get("images", os.path.join(directory, "train-images-idx3-ubyte"))
-        labels = section.get("labels", os.path.join(directory, "train-labels-idx1-ubyte"))
-        try:
-            ds = load_idx(images, labels)
-        except FileNotFoundError as exc:
-            raise ConfigError(f"{exc} (tools/fetch_mnist.py downloads the archives)") from exc
-    elif name in ("cifar10", "cifar100"):
-        paths = section.get("paths")
-        if not paths or not all(isinstance(p, str) for p in paths):
-            raise ConfigError(f"cifar datasets need dataset.paths = [batch files], got {paths!r}")
-        ds = load_cifar_binary(paths, name)
-    else:
-        raise ConfigError(f"unknown dataset name: {name!r}")
-    if section.get("subset") is not None:
-        ds = subset(ds, _integer("dataset", "subset", section["subset"]),
-                    Rng(derive_seed(ds_seed, 90)))
-    return ds
+    return _build(DatasetSpec, "dataset", cfg["dataset"]).load(seed)
 
 
 def _write_manifest(out_dir: str, command: str, cfg: dict, seed: int) -> None:
@@ -123,32 +89,29 @@ def _write_manifest(out_dir: str, command: str, cfg: dict, seed: int) -> None:
         f.write("\n")
 
 
-def _setup(cfg: dict, command: str):
-    """What train, search and sweep share: the seed, the output directory
-    (each command makes it after its last config check), the flat dataset
-    and its NetworkTemplate."""
-    seed = _integer("config", "seed", cfg.get("seed", 0), least=None)
+def _setup(cfg: dict, command: str, seed: int):
+    """What train, search and sweep share: the output directory (each command
+    makes it after its last config check), the flat dataset, its
+    NetworkTemplate, and the run fields train takes from arch and init."""
     # rng_seed is a run field: search.fit derives each run's init seed
     scheme = _build(InitScheme, "init", cfg.get("init", {}), rng_seed=0)
     arch = cfg.get("arch", {})
-    if isinstance(arch, dict):  # _build below refuses any other arch
-        if arch.get("activation", "relu") not in ACTIVATIONS:
-            raise ConfigError(f"arch: activation must be one of {', '.join(ACTIVATIONS)}, "
-                              f"got {arch['activation']!r}")
-        if arch.get("kind") == "conv-highway":
-            arch = {"width": 0, **arch}  # unused by conv layers, which keep the image's channels
+    if isinstance(arch, dict) and arch.get("kind") == "conv-highway":  # _build refuses a non-dict
+        arch = {"width": 0, **arch}  # unused by conv layers, which keep the image's channels
     ds = load_dataset(cfg, seed)
     template = _build(NetworkTemplate, "arch", arch, "activation", in_features=ds.features,
                       classes=ds.num_classes, init_kind=scheme.kind)
-    return seed, cfg.get("out_dir", f"runs/{command}"), ds, template
+    activation = arch.get("activation", "relu")
+    if activation not in ACTIVATIONS:
+        raise ConfigError(f"arch: activation must be one of {', '.join(ACTIVATIONS)}, "
+                          f"got {activation!r}")
+    run = {"activation": activation, "gate_bias": scheme.gate_bias}
+    return cfg.get("out_dir", f"runs/{command}"), ds, template, run
 
 
-def cmd_train(cfg: dict) -> int:
-    # The run fields come from the arch and init sections, which _setup checks.
-    arch, init = (s if isinstance(s, dict) else {} for s in (cfg.get("arch"), cfg.get("init")))
-    config = _build(TrainConfig, "sgd", cfg.get("sgd", {}),
-                    activation=arch.get("activation", "relu"), gate_bias=init.get("gate_bias"))
-    seed, out_dir, ds, template = _setup(cfg, "train")
+def cmd_train(cfg: dict, seed: int) -> int:
+    out_dir, ds, template, run = _setup(cfg, "train", seed)
+    config = _build(TrainConfig, "sgd", cfg.get("sgd", {}), **run)
     os.makedirs(out_dir, exist_ok=True)
     net, log = fit(template, ds, config, seed)
 
@@ -163,10 +126,10 @@ def cmd_train(cfg: dict) -> int:
     return EXIT_OK
 
 
-def cmd_search(cfg: dict, jobs: int = 1) -> int:
+def cmd_search(cfg: dict, seed: int, jobs: int = 1) -> int:
     require_int("jobs", jobs)
     space = _build(SearchSpace, "search", cfg.get("search", {}))
-    seed, out_dir, ds, template = _setup(cfg, "search")
+    out_dir, ds, template, _ = _setup(cfg, "search", seed)
     os.makedirs(out_dir, exist_ok=True)
     results = run_search(space, template, ds, seed, jobs=jobs)
     write_search_csv(results, os.path.join(out_dir, "search.csv"))
@@ -177,7 +140,7 @@ def cmd_search(cfg: dict, jobs: int = 1) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(cfg: dict, jobs: int = 1) -> int:
+def cmd_sweep(cfg: dict, seed: int, jobs: int = 1) -> int:
     if not cfg.get("depths"):
         raise ConfigError("sweep needs a non-empty 'depths' list")
     require_int("jobs", jobs)
@@ -192,7 +155,7 @@ def cmd_sweep(cfg: dict, jobs: int = 1) -> int:
             require_int("depth", depth)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"kinds x depths: {exc}") from exc
-    seed, out_dir, ds, base = _setup(cfg, "sweep")
+    out_dir, ds, base, _ = _setup(cfg, "sweep", seed)
     try:  # check every (kind, depth) template before the first search starts
         templates = [replace(base, kind=kind, depth=depth)
                      for kind in cfg.get("kinds", [base.kind]) for depth in cfg["depths"]]
@@ -218,8 +181,7 @@ def cmd_sweep(cfg: dict, jobs: int = 1) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(cfg: dict, checkpoint_path: str, out_dir: str, probe_index: int = 0) -> int:
-    seed = _integer("config", "seed", cfg.get("seed", 0), least=None)
+def cmd_analyze(cfg: dict, seed: int, checkpoint_path: str, out_dir: str, probe_index: int) -> int:
     net = load_checkpoint(checkpoint_path)
     ds = load_dataset(cfg, seed)
     report = gate_report(net, ds, probe_index)
@@ -268,14 +230,16 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg["seed"] = args.seed
         if args.data_dir is not None:
-            _section("dataset", cfg.setdefault("dataset", {}), DATASET_KEYS)["dir"] = args.data_dir
+            keys = [f.name for f in fields(DatasetSpec)]
+            _section("dataset", cfg.setdefault("dataset", {}), keys)["dir"] = args.data_dir
+        seed = require_int("config: seed", cfg.get("seed", 0), least=None)
         if args.command == "train":
-            return cmd_train(cfg)
+            return cmd_train(cfg, seed)
         if args.command == "search":
-            return cmd_search(cfg, jobs=args.jobs)
+            return cmd_search(cfg, seed, jobs=args.jobs)
         if args.command == "sweep":
-            return cmd_sweep(cfg, jobs=args.jobs)
-        return cmd_analyze(cfg, args.checkpoint, args.out_dir, args.probe_index)
+            return cmd_sweep(cfg, seed, jobs=args.jobs)
+        return cmd_analyze(cfg, seed, args.checkpoint, args.out_dir, args.probe_index)
     except (ValueError, OSError, MemoryError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -12,12 +12,13 @@ Pixels are normalized to [0, 1] by dividing by 255; nothing else.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import Rng
+from .ops import Rng, derive_seed, require_counts, require_int
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -58,6 +59,15 @@ class Dataset:
         return int(np.prod(self.inputs.shape[1:]))
 
 
+def _check_paths(**paths) -> None:
+    """A TypeError naming the first argument that is not a str or
+    os.PathLike path: open() would take an integer as a file descriptor, and
+    close it when done."""
+    for name, path in paths.items():
+        if not isinstance(path, (str, os.PathLike)):
+            raise TypeError(f"{name} must be a str or os.PathLike path, got {path!r}")
+
+
 def _read_idx(path, magic: int, what: str) -> np.ndarray:
     """The uint8 payload of an IDX file, in the shape its header gives: the
     magic's low byte counts the big-endian uint32 dimensions after it."""
@@ -86,6 +96,7 @@ def _write_idx(path, magic: int, array: np.ndarray) -> None:
 
 def load_idx(images_path, labels_path) -> Dataset:
     """Parse an IDX image/label file pair (the MNIST container format)."""
+    _check_paths(images_path=images_path, labels_path=labels_path)
     pixels = _read_idx(images_path, IDX_IMAGE_MAGIC, "image")
     labels = _read_idx(labels_path, IDX_LABEL_MAGIC, "label")
     inputs = pixels.astype(np.float64).reshape(len(pixels), -1)
@@ -109,6 +120,7 @@ def _as_bytes(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
 def save_idx(ds: Dataset, images_path, labels_path) -> None:
     """Write a dataset, flat or image-shaped, back to IDX as 28x28 images;
     inverse of load_idx down to raw bytes."""
+    _check_paths(images_path=images_path, labels_path=labels_path)
     if ds.features != IDX_SIDE * IDX_SIDE:
         raise FormatError(f"{ds.features} features do not fill {IDX_SIDE}x{IDX_SIDE} images")
     pixels, labels = _as_bytes(ds)
@@ -128,11 +140,12 @@ def load_cifar_binary(paths, variant: str = "cifar10", as_images: bool = False) 
     3072 pixel bytes.  Inputs come back flat unless as_images is set."""
     label_bytes, num_classes = _cifar_variant(variant)
     record = label_bytes + CIFAR_PIXELS
-    if isinstance(paths, (str, bytes)) or hasattr(paths, "__fspath__"):
-        paths = [paths]
+    if isinstance(paths, (str, os.PathLike)):
+        raise TypeError(f"paths must be a list of paths, got the one path {paths!r}")
 
     files = []
-    for path in paths:
+    for i, path in enumerate(paths):
+        _check_paths(**{f"paths[{i}]": path})
         with open(path, "rb") as f:
             raw = f.read()
         if len(raw) == 0 or len(raw) % record != 0:
@@ -159,6 +172,7 @@ def load_cifar_binary(paths, variant: str = "cifar10", as_images: bool = False) 
 def save_cifar_binary(ds: Dataset, path, variant: str = "cifar10") -> None:
     """Write CIFAR-format records from flat or image-shaped inputs; inverse
     of load_cifar_binary.  cifar100 coarse labels are written as 0."""
+    _check_paths(path=path)
     label_bytes, _ = _cifar_variant(variant)
     if ds.features != CIFAR_PIXELS:
         raise FormatError(f"{ds.features} features do not fill 3x32x32 images")
@@ -233,3 +247,50 @@ def synthetic_digits(count: int, seed: int = 0) -> Dataset:
     np.rint(images, out=images)
     images /= 255.0
     return Dataset(images.reshape(count, side * side), labels, IDX_CLASSES, "synthetic")
+
+
+@dataclass(frozen=True)
+class DatasetSpec:
+    """The config's dataset section, checked; load() reads the dataset it
+    names.  A seed of None is the run's seed, and an empty images or labels
+    path is MNIST's training file of that kind under dir."""
+    name: str = "synthetic"
+    seed: int | None = None
+    count: int = 10000
+    dir: str = "data"
+    images: str = ""
+    labels: str = ""
+    paths: tuple = ()
+    subset: int | None = None
+
+    def __post_init__(self):
+        if self.name not in ("synthetic", "mnist", *CIFAR_VARIANTS):
+            raise ValueError(f"unknown dataset name: {self.name!r}")
+        require_counts(self, "count")
+        if self.seed is not None:
+            require_int("seed", self.seed, least=None)
+        if self.subset is not None:
+            require_int("subset", self.subset)
+        for key in ("dir", "images", "labels"):
+            if not isinstance(getattr(self, key), str):
+                raise ValueError(f"{key} must be a path string, got {getattr(self, key)!r}")
+        if not (isinstance(self.paths, tuple) and all(isinstance(p, str) for p in self.paths)
+                and (self.paths or self.name not in CIFAR_VARIANTS)):
+            raise ValueError(f"paths must list the path strings cifar reads, got {self.paths!r}")
+
+    def load(self, run_seed: int) -> Dataset:
+        """The dataset, with flat inputs."""
+        seed = run_seed if self.seed is None else self.seed
+        if self.name == "synthetic":
+            ds = synthetic_digits(self.count, seed)
+        elif self.name == "mnist":
+            try:
+                ds = load_idx(self.images or os.path.join(self.dir, "train-images-idx3-ubyte"),
+                              self.labels or os.path.join(self.dir, "train-labels-idx1-ubyte"))
+            except FileNotFoundError as exc:
+                raise FileNotFoundError(f"{exc} (tools/fetch_mnist.py fetches it)") from exc
+        else:
+            ds = load_cifar_binary(self.paths, self.name)
+        if self.subset is not None:
+            ds = subset(ds, self.subset, Rng(derive_seed(seed, 90)))
+        return ds

@@ -63,6 +63,10 @@ class _Layer:
     def _grads(self, *arrays) -> dict:
         return dict(zip(self.PARAMS, arrays))
 
+    def param_grads(self, cache: dict, dL_dy: np.ndarray) -> dict:
+        """backward's parameter gradients alone, by _param_step: no dL/dx is computed."""
+        return self._param_step(cache, dL_dy)[0]
+
     def parameters(self):
         return [(name, getattr(self, name)) for name in self.PARAMS]
 
@@ -105,10 +109,6 @@ class PlainLayer(_Layer):
     def backward(self, cache: dict, dL_dy: np.ndarray):
         grads, da = self._param_step(cache, dL_dy)
         return matmul(da, self.W_H), grads
-
-    def param_grads(self, cache: dict, dL_dy: np.ndarray) -> dict:
-        """backward's parameter gradients alone, with no dL/dx."""
-        return self._param_step(cache, dL_dy)[0]
 
 
 class _GateCore(_Layer):
@@ -175,10 +175,6 @@ class _GateCore(_Layer):
         carry *= dL_dy
         dL_dx += carry
         return dL_dx, grads
-
-    def param_grads(self, cache: dict, dL_dy: np.ndarray) -> dict:
-        """backward's parameter gradients alone: no adjoint, no dL/dx."""
-        return self._param_step(cache, dL_dy)[0]
 
 
 class HighwayLayer(_GateCore):
@@ -250,7 +246,7 @@ class ConvHighwayLayer(_GateCore):
         k = self.kernel_size
         cols = self._windows(x).transpose(0, 2, 3, 1, 4, 5).reshape(batch * height * width,
                                                                       c * k * k)
-        return [(cols @ K.reshape(K.shape[0], c * k * k).T)
+        return [matmul(cols, K.reshape(K.shape[0], c * k * k).T)
                 .reshape(batch, height, width, K.shape[0]).transpose(0, 3, 1, 2)
                 for K in kernels]
 

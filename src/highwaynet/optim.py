@@ -51,11 +51,8 @@ class TrainLog:
     entries: list[EpochStats] = field(default_factory=list)
     diverged: bool = False
 
-    def losses(self) -> list[float]:
-        return [e.loss for e in self.entries]
-
     def best_loss(self) -> float:
-        return min(self.losses(), default=float("inf"))
+        return min((e.loss for e in self.entries), default=float("inf"))
 
     def final_loss(self) -> float:
         return self.entries[-1].loss if self.entries else float("inf")

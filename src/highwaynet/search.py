@@ -50,9 +50,6 @@ class SearchSpace:
             raise ValueError(f"activations must be a non-empty subset of {ACTIVATIONS}, "
                              f"got {self.activations!r}")
 
-    def without_gate_bias(self) -> "SearchSpace":
-        return replace(self, gate_bias=None)
-
 
 @dataclass(frozen=True)
 class TrainConfig(SgdConfig):
@@ -137,7 +134,7 @@ def run_search(space: SearchSpace, template: NetworkTemplate, dataset: Dataset,
     """
     workers = min(require_int("jobs", jobs), space.trials)
     if template.kind == "plain":
-        space = space.without_gate_bias()
+        space = replace(space, gate_bias=None)
     shipped = None if workers > 1 else dataset
     work = [(template, shipped, space, master_seed, i) for i in range(space.trials)]
     if workers > 1:

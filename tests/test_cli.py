@@ -8,9 +8,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from highwaynet.cli import main
-from highwaynet.data import Dataset, save_cifar_binary
-from highwaynet.ops import Rng
+from highwaynet.cli import CONFIG_KEYS, _build, _section, main
+from highwaynet.data import Dataset, DatasetSpec, save_cifar_binary
+from highwaynet.init import InitScheme, NetworkTemplate
+from highwaynet.ops import ACTIVATIONS, Rng
+from highwaynet.search import SearchSpace, TrainConfig
 
 
 def write_config(path, **overrides):
@@ -86,6 +88,16 @@ MALFORMED = {
     "mnist-images-list": ("train", "dataset", "images",
                           {"dataset": {"name": "mnist", "images": ["x"]}}),
     "cifar-paths-int": ("train", "dataset", "paths", {"dataset": {"name": "cifar10", "paths": [7]}}),
+    "cifar-paths-bare-string": ("train", "dataset", "paths",
+                                {"dataset": {"name": "cifar10", "paths": "cifar.bin"}}),
+    "dataset-name-unknown": ("train", "dataset", "name", {"dataset": {"name": "imagenet"}}),
+    "mnist-labels-int": ("train", "dataset", "labels", {"dataset": {"name": "mnist", "labels": 5}}),
+    "dataset-count-bool": ("train", "dataset", "count",
+                           {"dataset": {"name": "synthetic", "count": True}}),
+    "dataset-subset-zero": ("train", "dataset", "subset",
+                            {"dataset": {"name": "synthetic", "count": 60, "subset": 0}}),
+    "dataset-seed-float": ("train", "dataset", "seed",
+                           {"dataset": {"name": "synthetic", "count": 60, "seed": 1.5}}),
     "cifar-as-images-string": ("train", "dataset", "as_images",
                                {"dataset": {"name": "cifar10", "paths": ["a"], "as_images": "no"}}),
     "out-dir-int": ("train", "config", "out_dir", {"out_dir": 5}),
@@ -249,6 +261,25 @@ class TestMalformedConfig:
         err = capsys.readouterr().err
         assert re.search(rf"\b{section}\b", err) and re.search(rf"\b{key}\b", err), err
         assert not (tmp_path / "run").exists()
+
+
+class TestConfigReference:
+    """README's annotated config example, less its // comments, reads through
+    each section's dataclass, so the reference cannot drift from the schema.
+    Nothing is loaded or built."""
+
+    def test_every_section_reads(self):
+        with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as f:
+            example = f.read().split("```jsonc\n")[1].split("```")[0]
+        cfg = _section("config", json.loads(re.sub(r"//.*", "", example)), CONFIG_KEYS)
+        assert set(cfg) == set(CONFIG_KEYS)
+        _build(DatasetSpec, "dataset", cfg["dataset"])
+        assert cfg["arch"]["activation"] in ACTIVATIONS
+        _build(NetworkTemplate, "arch", cfg["arch"], "activation", in_features=784, classes=10,
+               init_kind="he")
+        scheme = _build(InitScheme, "init", cfg["init"], rng_seed=0)
+        _build(TrainConfig, "sgd", cfg["sgd"], activation="relu", gate_bias=scheme.gate_bias)
+        _build(SearchSpace, "search", cfg["search"])
 
 
 class TestSweep:

@@ -1,6 +1,7 @@
 import hashlib
 import os
 import struct
+from contextlib import suppress
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from highwaynet.data import (
     IDX_IMAGE_MAGIC,
     IDX_LABEL_MAGIC,
     Dataset,
+    DatasetSpec,
     FormatError,
     batches,
     load_cifar_binary,
@@ -21,7 +23,7 @@ from highwaynet.data import (
     subset,
     synthetic_digits,
 )
-from highwaynet.ops import Rng
+from highwaynet.ops import Rng, derive_seed
 
 MNIST_DIR = os.environ.get("HIGHWAYNET_DATA_DIR", "data")
 MNIST_IMAGES = os.path.join(MNIST_DIR, "train-images-idx3-ubyte")
@@ -246,7 +248,7 @@ class TestCifar:
         save_cifar_binary(Dataset(inputs, rng.integers(100, size=5), 100, "cifar100"),
                           path, "cifar100")
         assert path.read_bytes()[0::3074] == bytes(5)  # the coarse label bytes
-        again = load_cifar_binary(path, "cifar100")  # a bare path, not a list
+        again = load_cifar_binary([path], "cifar100")
         save_cifar_binary(again, tmp_path / "again.bin", "cifar100")
         assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
 
@@ -268,6 +270,11 @@ class TestCifar:
         _, path = cifar10_file
         loaded = load_cifar_binary([path], "cifar10", as_images=True)
         assert loaded.inputs.shape == (20, 3, 32, 32)
+
+    def test_bare_path_refused(self, cifar10_file):
+        _, path = cifar10_file
+        with pytest.raises(TypeError, match="paths must be a list of paths"):
+            load_cifar_binary(path, "cifar10")
 
     def test_empty_path_list_refused(self):
         with pytest.raises(FormatError, match="empty path list"):
@@ -305,6 +312,62 @@ class TestWriterRefusals:
         with pytest.raises(FormatError, match=match):
             write(ds, tmp_path)
         assert os.listdir(tmp_path) == []
+
+
+ONE_RECORD = Dataset(np.zeros((1, CIFAR_PIXELS)), np.zeros(1, dtype=np.int64), 10, "one")
+
+
+class TestDescriptorsRefused:
+    """open() takes an integer as a file descriptor and closes it when done,
+    so the readers and writers refuse any path that is not a str or
+    os.PathLike before they open anything, and the descriptor stays open."""
+
+    CALLS = {
+        "load_idx-images": ("images_path", lambda fd, out: load_idx(fd, out / "labels")),
+        "load_idx-labels": ("labels_path", lambda fd, out: load_idx(out / "images", fd)),
+        "save_idx": ("labels_path", lambda fd, out: save_idx(synthetic_digits(1), out / "i", fd)),
+        "load_cifar_binary": (r"paths\[0\]", lambda fd, out: load_cifar_binary([fd])),
+        "save_cifar_binary": ("path", lambda fd, out: save_cifar_binary(ONE_RECORD, fd)),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_refused_and_left_open(self, tmp_path, call):
+        name, run = self.CALLS[call]
+        path = tmp_path / "file"
+        path.write_bytes(bytes(CIFAR_PIXELS + 1))  # one CIFAR record, should a reader get in
+        fd = os.open(path, os.O_RDWR)
+        try:
+            with pytest.raises(TypeError, match=rf"^{name} must be a str or os.PathLike path"):
+                run(fd, tmp_path)
+            os.fstat(fd)  # an OSError if the call closed it
+        finally:
+            with suppress(OSError):
+                os.close(fd)
+        assert path.read_bytes() == bytes(CIFAR_PIXELS + 1)
+        assert os.listdir(tmp_path) == ["file"]
+
+
+class TestDatasetSpec:
+    """The config's dataset section: what each spec loads."""
+
+    def test_default_is_the_synthetic_corpus(self):
+        got, want = DatasetSpec().load(7), synthetic_digits(10000, 7)
+        assert got.inputs.tobytes() == want.inputs.tobytes()
+        assert got.labels.tobytes() == want.labels.tobytes()
+
+    def test_its_seed_wins_over_the_runs(self):
+        """The spec's seed draws both the digits and the subset."""
+        got = DatasetSpec(count=40, seed=3, subset=10).load(9)
+        want = subset(synthetic_digits(40, 3), 10, Rng(derive_seed(3, 90)))
+        assert got.inputs.tobytes() == want.inputs.tobytes()
+        assert got.labels.tobytes() == want.labels.tobytes()
+
+    def test_mnist_files_default_under_dir(self, tmp_path):
+        ds = synthetic_digits(16, 5)
+        save_idx(ds, tmp_path / "train-images-idx3-ubyte", tmp_path / "train-labels-idx1-ubyte")
+        got = DatasetSpec(name="mnist", dir=str(tmp_path)).load(0)
+        assert got.inputs.tobytes() == ds.inputs.tobytes()
+        assert np.array_equal(got.labels, ds.labels)
 
 
 class TestImageShapedWriters:

@@ -424,6 +424,36 @@ LAYERS_AND_INPUTS = {
 }
 
 
+class TestConvProducts:
+    """Every conv GEMM goes through ops.matmul, as the dense ones do, so that
+    traced GEMM counts see it, with the bits of the bare product."""
+
+    @pytest.mark.parametrize("shape, k", [((64, 3, 32, 32), 3), ((1, 2, 9, 9), 3),
+                                          ((7, 4, 5, 5), 5)])
+    def test_correlate_equals_the_bare_product(self, shape, k):
+        rng = Rng(830 + shape[0])
+        c = shape[1]
+        kernels = rng.normal(std=0.3, size=(c, c, k, k))
+        layer = ConvHighwayLayer(kernels, np.zeros(c), kernels, np.zeros(c))
+        x = rng.normal(size=shape)
+        (got,) = layer._correlate(x, kernels)
+        assert got.tobytes() == _reference_corr2d(x, kernels).tobytes()
+
+    def test_forward_and_backward_call_matmul(self, monkeypatch):
+        """Two maps forward, two adjoints backward."""
+        layer, x = LAYERS_AND_INPUTS["conv-highway"](Rng(831), "relu")
+        calls = []
+
+        def counted(a, b):
+            calls.append((a.shape, b.shape))
+            return matmul(a, b)
+
+        monkeypatch.setattr("highwaynet.layers.matmul", counted)
+        y, cache = layer.forward(x)
+        layer.backward(cache, np.ones_like(y))
+        assert calls == [((7 * 4 * 4, 2 * 3 * 3), (2 * 3 * 3, 2))] * 4
+
+
 class TestInputsUntouched:
     """evaluate and gate_report feed the layers views of the dataset's rows,
     and gate_report reads cache["t"] after the forward, so no layer may

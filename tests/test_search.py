@@ -1,3 +1,4 @@
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ class TestSampleConfig:
         assert abs(median - 1e-2) / 1e-2 < 0.2
 
     def test_plain_space_has_no_gate_bias(self):
-        cfg = sample_config(SearchSpace().without_gate_bias(), Rng(3))
+        cfg = sample_config(replace(SearchSpace(), gate_bias=None), Rng(3))
         assert cfg.gate_bias is None
 
     def test_empty_range_rejected(self):
