@@ -16,7 +16,11 @@ import numpy as np
 
 from .data import Dataset
 from .layers import HighwayLayer, Network
-from .ops import require_int
+from .ops import check_paths
+from .optim import EVAL_BATCH
+
+MAX_SAMPLES = 10000  # gate means are taken over at most this many samples
+SPARSE_BELOW = 0.1  # gate_sparsity counts a gate below this activity as shut
 
 
 class AnalysisError(ValueError):
@@ -32,30 +36,27 @@ class GateReport:
     sample_count: int
 
 
-def gate_report(net: Network, samples: Dataset, probe_index: int = 0,
-                max_samples: int = 10000, batch_size: int = 512) -> GateReport:
+def gate_report(net: Network, samples: Dataset, probe_index: int = 0) -> GateReport:
     """Observe the gates; the network is left untouched.
 
     Mean activity averages each gate's output over the first
-    min(max_samples, len(samples)) examples.  The probe sample additionally
+    min(MAX_SAMPLES, len(samples)) examples.  The probe sample additionally
     contributes its per-layer gate trace and block outputs.
     """
     if net.body_kind != HighwayLayer.KIND:
         raise AnalysisError(
             f"gate analysis needs a dense gated body, network has {net.body_kind!r}"
         )
-    require_int("max_samples", max_samples)
-    require_int("batch_size", batch_size)
     if samples.count == 0:
         raise ValueError("empty sample set")
     if not 0 <= probe_index < samples.count:
         raise ValueError(f"probe index {probe_index} outside [0, {samples.count})")
 
-    used = min(max_samples, samples.count)
+    used = min(MAX_SAMPLES, samples.count)
     sums = np.zeros((len(net.body), net.body[0].out_width))
     # caches[0] is the input layer's: a dense net's layers are it, then the body.
-    for start in range(0, used, batch_size):
-        _, caches = net.forward_caches(samples.inputs[start:min(start + batch_size, used)])
+    for start in range(0, used, EVAL_BATCH):
+        _, caches = net.forward_caches(samples.inputs[start:min(start + EVAL_BATCH, used)])
         for row, cache in enumerate(caches[1:]):
             sums[row] += cache["t"].sum(axis=0)
     mean_activity = sums / used
@@ -70,15 +71,15 @@ def gate_report(net: Network, samples: Dataset, probe_index: int = 0,
     return GateReport(bias_map, mean_activity, sample_trace, block_outputs, used)
 
 
-def gate_sparsity(report: GateReport, threshold: float = 0.1) -> dict:
-    """Per-layer fraction of gates with activity below the threshold.
+def gate_sparsity(report: GateReport) -> dict:
+    """Per-layer fraction of gates with activity below SPARSE_BELOW.
 
     Reporting convention only; returned for both the mean activity and the
     single-sample trace.
     """
     return {
-        "mean": (report.mean_activity < threshold).mean(axis=1),
-        "sample": (report.sample_trace < threshold).mean(axis=1),
+        "mean": (report.mean_activity < SPARSE_BELOW).mean(axis=1),
+        "sample": (report.sample_trace < SPARSE_BELOW).mean(axis=1),
     }
 
 
@@ -122,7 +123,9 @@ def export_report(report: GateReport, out_dir) -> list[str]:
 
 def load_matrix_csv(path) -> np.ndarray:
     """Read back a table written by export_report (full printed precision)."""
+    check_paths(path=path)
     with open(path) as f:
-        next(f)  # header
+        if not f.readline():
+            raise ValueError(f"no header line in {path}")
         rows = [[float(v) for v in line.strip().split(",")] for line in f if line.strip()]
     return np.array(rows)

@@ -16,13 +16,14 @@ The header records the architecture and, per parameter, its name and shape:
    "has_input_layer": bool,
    "params": [{"name": "input.W_H", "shape": [50, 784]}, ...]}
 
-Loading rebuilds the network and restores parameters bit-identically.  Zeros
-of the stored shapes go, in order, to the input layer (if has_input_layer),
-to BODY_KINDS[body_kind] layers and to the head, by each class's PARAMS
-count.  Network checks that they fit and names them; the stored names must be
-its names.  Any other header (a missing key, a value of the wrong JSON type,
-a shape that is not a list of non-negative integers, a tensor count that does
-not split so, tensors that do not fit together) raises CheckpointError.
+Loading rebuilds the network and restores parameters bit-identically:
+Network(body_kind, zeros of the stored shapes, activation) splits the tensors
+into layers, checks that they fit and names them.  The stored names must be
+its names and has_input_layer must say whether it has an input layer.  Any
+other header (a missing key, a value of the wrong JSON type, a shape that is
+not a list of non-negative integers, an unknown body kind or activation, a
+tensor count that does not split into the body kind's layers, tensors that
+do not fit together) raises CheckpointError.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ import struct
 
 import numpy as np
 
-from .layers import BODY_KINDS, Network, PlainLayer, SoftmaxHead
-from .ops import ACTIVATIONS
+from .layers import Network
+from .ops import check_paths
 
 MAGIC = b"HWNETCK1"
 HEADER_TYPES = {"body_kind": str, "activation": str, "has_input_layer": bool, "params": list}
@@ -51,6 +52,7 @@ def save_checkpoint(net: Network, path) -> None:
     if len(activations) > 1:
         raise ValueError(f"a checkpoint stores one activation, the network's layers use "
                          f"{', '.join(sorted(activations))}")
+    check_paths(path=path)
     header = {
         "format": 1,
         "body_kind": net.body_kind,
@@ -67,6 +69,7 @@ def save_checkpoint(net: Network, path) -> None:
 
 
 def load_checkpoint(path) -> Network:
+    check_paths(path=path)
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:8] != MAGIC:
@@ -88,12 +91,6 @@ def load_checkpoint(path) -> Network:
                 and isinstance(entry.get("shape"), list)
                 and all(type(d) is int and d >= 0 for d in entry["shape"])):
             raise CheckpointError(f"malformed parameter entry {entry!r} in {path}")
-    kind, activation = header["body_kind"], header["activation"]
-    if kind not in BODY_KINDS:
-        raise CheckpointError(f"unknown body kind {kind!r} in {path}")
-    if activation not in ACTIVATIONS:
-        raise CheckpointError(f"unknown activation {activation!r} in {path}")
-
     count = sum(math.prod(entry["shape"]) for entry in header["params"])
     stored = len(raw) - 12 - header_len
     if stored < 8 * count:
@@ -101,21 +98,14 @@ def load_checkpoint(path) -> Network:
     if stored > 8 * count:
         raise CheckpointError(f"{stored - 8 * count} trailing bytes in {path}")
 
-    body_cls = BODY_KINDS[kind]
-    step = len(body_cls.PARAMS)
-    first = len(PlainLayer.PARAMS) if header["has_input_layer"] else 0
-    last = len(header["params"]) - len(SoftmaxHead.PARAMS)
-    if last < first or (last - first) % step:
-        raise CheckpointError(
-            f"{len(header['params'])} tensors in {path} do not split into a {kind!r} network")
+    kind = header["body_kind"]
     try:
-        tensors = [np.zeros(entry["shape"]) for entry in header["params"]]
-        body = [body_cls(*tensors[i:i + step], activation) for i in range(first, last, step)]
-        net = Network(PlainLayer(*tensors[:first], activation) if first else None, body,
-                      SoftmaxHead(*tensors[last:]))
+        net = Network(kind, [np.zeros(entry["shape"]) for entry in header["params"]],
+                      header["activation"])
     except ValueError as exc:  # ShapeError included
-        raise CheckpointError(f"parameters in {path} do not fit together: {exc}") from exc
-    if [entry["name"] for entry in header["params"]] != [n for n, _ in net.parameters()]:
-        raise CheckpointError(f"parameter names in {path} do not fit a {kind!r} network")
+        raise CheckpointError(f"parameters in {path} make no {kind!r} network: {exc}") from exc
+    if (header["has_input_layer"] != (net.input_layer is not None)
+            or [entry["name"] for entry in header["params"]] != [n for n, _ in net.parameters()]):
+        raise CheckpointError(f"parameter layout in {path} does not fit a {kind!r} network")
     net.theta[...] = np.frombuffer(raw, dtype="<f8", count=count, offset=12 + header_len)
     return net

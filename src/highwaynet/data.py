@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import Rng, derive_seed, require_counts, require_int
+from .ops import Rng, check_paths, derive_seed, require_counts, require_int
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -59,15 +59,6 @@ class Dataset:
         return int(np.prod(self.inputs.shape[1:]))
 
 
-def _check_paths(**paths) -> None:
-    """A TypeError naming the first argument that is not a str or
-    os.PathLike path: open() would take an integer as a file descriptor, and
-    close it when done."""
-    for name, path in paths.items():
-        if not isinstance(path, (str, os.PathLike)):
-            raise TypeError(f"{name} must be a str or os.PathLike path, got {path!r}")
-
-
 def _read_idx(path, magic: int, what: str) -> np.ndarray:
     """The uint8 payload of an IDX file, in the shape its header gives: the
     magic's low byte counts the big-endian uint32 dimensions after it."""
@@ -96,7 +87,7 @@ def _write_idx(path, magic: int, array: np.ndarray) -> None:
 
 def load_idx(images_path, labels_path) -> Dataset:
     """Parse an IDX image/label file pair (the MNIST container format)."""
-    _check_paths(images_path=images_path, labels_path=labels_path)
+    check_paths(images_path=images_path, labels_path=labels_path)
     pixels = _read_idx(images_path, IDX_IMAGE_MAGIC, "image")
     labels = _read_idx(labels_path, IDX_LABEL_MAGIC, "label")
     inputs = pixels.astype(np.float64).reshape(len(pixels), -1)
@@ -120,7 +111,7 @@ def _as_bytes(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
 def save_idx(ds: Dataset, images_path, labels_path) -> None:
     """Write a dataset, flat or image-shaped, back to IDX as 28x28 images;
     inverse of load_idx down to raw bytes."""
-    _check_paths(images_path=images_path, labels_path=labels_path)
+    check_paths(images_path=images_path, labels_path=labels_path)
     if ds.features != IDX_SIDE * IDX_SIDE:
         raise FormatError(f"{ds.features} features do not fill {IDX_SIDE}x{IDX_SIDE} images")
     pixels, labels = _as_bytes(ds)
@@ -145,7 +136,7 @@ def load_cifar_binary(paths, variant: str = "cifar10", as_images: bool = False) 
 
     files = []
     for i, path in enumerate(paths):
-        _check_paths(**{f"paths[{i}]": path})
+        check_paths(**{f"paths[{i}]": path})
         with open(path, "rb") as f:
             raw = f.read()
         if len(raw) == 0 or len(raw) % record != 0:
@@ -172,7 +163,7 @@ def load_cifar_binary(paths, variant: str = "cifar10", as_images: bool = False) 
 def save_cifar_binary(ds: Dataset, path, variant: str = "cifar10") -> None:
     """Write CIFAR-format records from flat or image-shaped inputs; inverse
     of load_cifar_binary.  cifar100 coarse labels are written as 0."""
-    _check_paths(path=path)
+    check_paths(path=path)
     label_bytes, _ = _cifar_variant(variant)
     if ds.features != CIFAR_PIXELS:
         raise FormatError(f"{ds.features} features do not fill 3x32x32 images")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import BODY_KINDS, ConvHighwayLayer, HighwayLayer, Network, PlainLayer, SoftmaxHead
+from .layers import BODY_KINDS, ConvHighwayLayer, Network
 from .ops import Rng, require_counts, require_int
 
 INIT_KINDS = ("he", "glorot")
@@ -101,16 +101,12 @@ def build_network(
                     kernel_size=kernel_size)
     if kind == ConvHighwayLayer.KIND:
         c, h, w = image_shape
-        kernel = lambda: (np.zeros((c, c, kernel_size, kernel_size)), np.zeros(c))
-        body = [ConvHighwayLayer(*kernel(), *kernel(), activation) for _ in range(depth)]
-        head = SoftmaxHead(np.zeros((classes, c * h * w)), np.zeros(classes))
-        return Network(None, body, head)
-    input_layer = PlainLayer(np.zeros((width, in_features)), np.zeros(width), activation)
-    square = lambda: (np.zeros((width, width)), np.zeros(width))
-    body = [PlainLayer(*square(), activation) if kind == PlainLayer.KIND
-            else HighwayLayer(*square(), *square(), activation) for _ in range(depth - 1)]
-    head = SoftmaxHead(np.zeros((classes, width)), np.zeros(classes))
-    return Network(input_layer, body, head)
+        layers, head_in = [(c, c, kernel_size, kernel_size), (c,)] * 2 * depth, c * h * w
+    else:
+        square = [(width, width), (width,)] * (1 if kind == "plain" else 2)
+        layers, head_in = [(width, in_features), (width,)] + square * (depth - 1), width
+    shapes = layers + [(classes, head_in), (classes,)]
+    return Network(kind, [np.zeros(shape) for shape in shapes], activation)
 
 
 @dataclass(frozen=True)

@@ -328,8 +328,8 @@ class SoftmaxHead(_Layer):
 
 
 class Network:
-    """A leading plain layer (dimension change), a homogeneous body, and a
-    softmax head.
+    """A leading plain layer (dimension change), a body of one layer kind, and
+    a softmax head, built from their tensors.
 
     Fully-connected networks always carry the input plain layer, matching
     the convention that a "depth d" network is that layer plus d-1 body
@@ -339,41 +339,42 @@ class Network:
     here at construction.
     """
 
-    def __init__(self, input_layer, body, head: SoftmaxHead):
-        body = list(body)
-        kinds = {type(layer) for layer in body}
-        if len(kinds) > 1:
-            raise ShapeError("network body must be homogeneous, got " +
-                             ", ".join(sorted(k.__name__ for k in kinds)))
-        self.input_layer = input_layer
-        self.body = body
-        self.head = head
-        if self.is_conv == (input_layer is not None):
-            raise ShapeError("a network has a leading plain layer exactly when its body is "
-                             "not convolutional")
-        width = input_layer.out_width if input_layer is not None else body[0].out_width
-        for i, layer in enumerate(body):
+    def __init__(self, kind: str, tensors, activation: str = "relu"):
+        """tensors, in parameters() order, are copied into theta; each layer
+        holds views of theta, handed out by its class's PARAMS count."""
+        if kind not in BODY_KINDS:
+            raise ValueError(f"unknown network kind: {kind!r}")
+        body_cls = BODY_KINDS[kind]
+        first = 0 if body_cls is ConvHighwayLayer else len(PlainLayer.PARAMS)
+        last, step = len(tensors) - len(SoftmaxHead.PARAMS), len(body_cls.PARAMS)
+        if last < first or (last - first) % step or last == first == 0:
+            raise ShapeError(f"{len(tensors)} tensors do not split into a {kind!r} network"
+                             + (" with a body layer" if first == 0 else ""))
+        shapes = [np.shape(t) for t in tensors]
+        self.theta = np.concatenate(tensors, axis=None, dtype=np.float64)
+        views, offset = [], 0
+        for shape in shapes:
+            size = math.prod(shape)
+            views.append(self.theta[offset:offset + size].reshape(shape))
+            offset += size
+        self.input_layer = PlainLayer(*views[:first], activation) if first else None
+        self.body = [body_cls(*views[i:i + step], activation) for i in range(first, last, step)]
+        self.head = SoftmaxHead(*views[last:])
+        # The layers every forward and backward walk, in order; the head is apart.
+        self.layers = ([self.input_layer] if first else []) + self.body
+        width = self.layers[0].out_width
+        for i, layer in enumerate(self.body):
             if layer.in_width != width or layer.out_width != width:
                 raise ShapeError(
                     f"body layer {i} width {layer.in_width}x{layer.out_width} "
                     f"breaks the chain at width {width}"
                 )
-        if not self.is_conv and head.in_width != width:
-            raise ShapeError(f"head expects width {width}, has {head.in_width}")
-        # The layers every forward and backward walk, in order; the head is apart.
-        first = [input_layer] if input_layer is not None else []
-        self.layers = first + body
-        prefixes = ["input"] * len(first) + [f"body.{i}" for i in range(len(body))] + ["head"]
-        # theta holds every parameter in parameters() order, and each layer
-        # tensor becomes its view (a layer belongs to the last network built).
-        tensors = [p for layer in (*self.layers, head) for _, p in layer.parameters()]
-        self.theta = np.concatenate(tensors, axis=None)
-        self._parameters, offset = [], 0
-        for prefix, layer in zip(prefixes, (*self.layers, head), strict=True):
-            for n, p in layer.parameters():
-                setattr(layer, n, self.theta[offset:offset + p.size].reshape(p.shape))
-                self._parameters.append((f"{prefix}.{n}", getattr(layer, n)))
-                offset += p.size
+        if not self.is_conv and self.head.in_width != width:
+            raise ShapeError(f"head expects width {width}, has {self.head.in_width}")
+        prefixes = (["input"] if first else []) + [f"body.{i}" for i in range(len(self.body))]
+        self._parameters = [(f"{prefix}.{n}", p)
+                            for prefix, layer in zip([*prefixes, "head"], (*self.layers, self.head))
+                            for n, p in layer.parameters()]
 
     @property
     def is_conv(self) -> bool:

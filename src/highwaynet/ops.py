@@ -8,6 +8,7 @@ gradient checks in the test suite can use tight tolerances.
 from __future__ import annotations
 
 import numbers
+import os
 
 import numpy as np
 
@@ -32,6 +33,15 @@ def require_counts(owner, *names: str, least: int = 1) -> None:
     """require_int on each named attribute of owner."""
     for name in names:
         require_int(name, getattr(owner, name), least)
+
+
+def check_paths(**paths) -> None:
+    """A TypeError naming the first argument that is not a str or
+    os.PathLike path: open() would take an integer as a file descriptor, and
+    close it when done."""
+    for name, path in paths.items():
+        if not isinstance(path, (str, os.PathLike)):
+            raise TypeError(f"{name} must be a str or os.PathLike path, got {path!r}")
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -15,7 +15,9 @@ import numpy as np
 
 from .data import Dataset, batches
 from .layers import Network, network_forward_backward
-from .ops import Rng, ShapeError, require_counts
+from .ops import Rng, ShapeError, check_paths, require_counts
+
+EVAL_BATCH = 512  # rows per evaluation-only forward
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,7 @@ class TrainLog:
         return self.entries[-1].loss if self.entries else float("inf")
 
     def write_csv(self, path) -> None:
+        check_paths(path=path)
         with open(path, "w") as f:
             f.write("epoch,loss,accuracy,lr,seconds\n")
             for e in self.entries:
@@ -74,10 +77,10 @@ def sgd_step(theta, grad, velocity, lr: float, momentum: float) -> None:
     theta += velocity
 
 
-def evaluate(net: Network, ds: Dataset, batch_size: int = 512):
-    """Mean cross-entropy and accuracy over the whole dataset."""
+def evaluate(net: Network, ds: Dataset):
+    """Mean cross-entropy and accuracy over the whole dataset, by EVAL_BATCH rows."""
     total_loss, correct = 0.0, 0
-    for xb, yb in batches(ds, batch_size):
+    for xb, yb in batches(ds, EVAL_BATCH):
         loss, probs = net.head.loss_probs(net.forward(xb), yb)
         total_loss += loss * xb.shape[0]
         correct += int((probs.argmax(axis=1) == yb).sum())

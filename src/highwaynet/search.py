@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 from .data import Dataset
 from .init import InitScheme, NetworkTemplate, build_network, init_network
-from .ops import ACTIVATIONS, Rng, derive_seed, require_counts, require_int
+from .ops import ACTIVATIONS, Rng, check_paths, derive_seed, require_counts, require_int
 from .optim import SgdConfig, TrainLog, train
 
 
@@ -156,6 +156,7 @@ def config_cells(c: TrainConfig) -> str:
 
 def write_search_csv(results: list[TrialResult], path) -> None:
     """Summary CSV: one row per trial in ranked order."""
+    check_paths(path=path)
     with open(path, "w") as f:
         f.write("trial,status,lr0,momentum,decay,activation,gate_bias,best_loss,final_loss,seed\n")
         for r in results:

@@ -85,21 +85,13 @@ class TestGateReport:
         assert np.allclose(a, b, atol=1e-12)
 
     def test_sample_cap(self):
+        """Gate means stop at 10,000 samples: the 10,001st does not count."""
         net = fresh_highway(depth=3, width=6)
-        report = gate_report(net, centered_inputs(50, 6, 9), max_samples=32)
-        assert report.sample_count == 32
-
-    @pytest.mark.parametrize("cap", [0, -1, 2.5])
-    def test_sample_cap_below_one_refused(self, cap):
-        net = fresh_highway(depth=3, width=6)
-        with pytest.raises(ValueError, match="max_samples must be an integer >= 1"):
-            gate_report(net, centered_inputs(5, 6, 11), max_samples=cap)
-
-    @pytest.mark.parametrize("batch_size", [0, -1, 2.5])
-    def test_batch_size_below_one_refused(self, batch_size):
-        net = fresh_highway(depth=3, width=6)
-        with pytest.raises(ValueError, match="batch_size must be an integer >= 1"):
-            gate_report(net, centered_inputs(5, 6, 11), batch_size=batch_size)
+        ds = centered_inputs(10001, 6, 9)
+        report = gate_report(net, ds)
+        assert report.sample_count == 10000
+        assert report.mean_activity.tobytes() == gate_report(
+            net, Dataset(ds.inputs[:10000], ds.labels[:10000], 2, "probe")).mean_activity.tobytes()
 
     def test_plain_body_unsupported(self):
         net = build_network("plain", 4, 6, 6, 3)
@@ -178,3 +170,9 @@ class TestExport:
                               report.mean_activity)
         assert np.array_equal(load_matrix_csv(tmp_path / "block_outputs.csv"),
                               report.block_outputs)
+
+    def test_empty_file_refused(self, tmp_path):
+        path = tmp_path / "mean_activity.csv"
+        path.write_bytes(b"")
+        with pytest.raises(ValueError, match="no header line in .*mean_activity.csv"):
+            load_matrix_csv(path)

@@ -74,6 +74,8 @@ LAYOUT_FAULTS = {
     "body.1.K_T-dropped": ("conv-highway", drop("body.1.K_T")),
     "input.b_H-dropped": ("highway", drop("input.b_H")),
     "empty-params": ("highway", lambda h: h.update(params=[])),
+    "conv-body-dropped": ("conv-highway", lambda h: h.update(
+        params=[e for e in h["params"] if not e["name"].startswith("body.")])),
     "W_H-W_T-swapped": ("highway", swap("body.1.W_H", "body.1.W_T")),
     "K_H-K_T-swapped": ("conv-highway", swap("body.0.K_H", "body.0.K_T")),
 }
@@ -140,6 +142,18 @@ class TestRoundTrip:
         for name, param in restored.parameters():
             assert param.tobytes() == original[name].tobytes(), name
         assert restored.is_conv
+
+    def test_empty_body_round_trips_as_plain(self, tmp_path):
+        """A depth-1 highway net has no body layer, so it is stored, and
+        loads, as a plain one."""
+        net = init_network(build_network("highway", 1, 6, 5, 3, "tanh"), InitScheme("he", -3.0, 4))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(net, path)
+        assert read_header(path)["body_kind"] == "plain"
+        restored = load_checkpoint(path)
+        assert restored.body == [] and restored.body_kind == "plain"
+        assert restored.parameters()[0][0] == "input.W_H"
+        assert restored.theta.tobytes() == net.theta.tobytes()
 
     def test_blob_region_is_theta(self, tmp_path, small_net):
         net, _ = small_net

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from highwaynet.analysis import load_matrix_csv
+from highwaynet.checkpoint import load_checkpoint, save_checkpoint
 from highwaynet.data import (
     CIFAR_PIXELS,
     IDX_IMAGE_MAGIC,
@@ -23,7 +25,10 @@ from highwaynet.data import (
     subset,
     synthetic_digits,
 )
+from highwaynet.init import build_network
 from highwaynet.ops import Rng, derive_seed
+from highwaynet.optim import TrainLog
+from highwaynet.search import write_search_csv
 
 MNIST_DIR = os.environ.get("HIGHWAYNET_DATA_DIR", "data")
 MNIST_IMAGES = os.path.join(MNIST_DIR, "train-images-idx3-ubyte")
@@ -319,8 +324,9 @@ ONE_RECORD = Dataset(np.zeros((1, CIFAR_PIXELS)), np.zeros(1, dtype=np.int64), 1
 
 class TestDescriptorsRefused:
     """open() takes an integer as a file descriptor and closes it when done,
-    so the readers and writers refuse any path that is not a str or
-    os.PathLike before they open anything, and the descriptor stays open."""
+    so the library's file readers and writers refuse any path that is not a
+    str or os.PathLike before they open anything, and the descriptor stays
+    open."""
 
     CALLS = {
         "load_idx-images": ("images_path", lambda fd, out: load_idx(fd, out / "labels")),
@@ -328,6 +334,12 @@ class TestDescriptorsRefused:
         "save_idx": ("labels_path", lambda fd, out: save_idx(synthetic_digits(1), out / "i", fd)),
         "load_cifar_binary": (r"paths\[0\]", lambda fd, out: load_cifar_binary([fd])),
         "save_cifar_binary": ("path", lambda fd, out: save_cifar_binary(ONE_RECORD, fd)),
+        "save_checkpoint": ("path", lambda fd, out: save_checkpoint(
+            build_network("highway", 2, 3, 4, 2), fd)),
+        "load_checkpoint": ("path", lambda fd, out: load_checkpoint(fd)),
+        "TrainLog.write_csv": ("path", lambda fd, out: TrainLog().write_csv(fd)),
+        "write_search_csv": ("path", lambda fd, out: write_search_csv([], fd)),
+        "load_matrix_csv": ("path", lambda fd, out: load_matrix_csv(fd)),
     }
 
     @pytest.mark.parametrize("call", sorted(CALLS))

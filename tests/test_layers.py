@@ -628,18 +628,14 @@ class TestNetwork:
 
     def test_saturated_body_equals_input_plus_head(self):
         rng = Rng(40)
-        input_layer = PlainLayer(rng.normal(std=0.3, size=(4, 6)), rng.normal(size=4), "tanh")
-        gated = HighwayLayer(rng.normal(size=(4, 4)), rng.normal(size=4),
-                             np.zeros((4, 4)), np.full(4, -20.0), "tanh")
-        head = SoftmaxHead(rng.normal(size=(3, 4)), rng.normal(size=3))
+        input_layer = [rng.normal(std=0.3, size=(4, 6)), rng.normal(size=4)]
+        gated = [rng.normal(size=(4, 4)), rng.normal(size=4), np.zeros((4, 4)), np.full(4, -20.0)]
+        head = [rng.normal(size=(3, 4)), rng.normal(size=3)]
         x = rng.normal(size=(8, 6))
         labels = Rng(41).integers(3, size=8)
 
-        deep = Network(input_layer, [gated], head)
-        shallow = Network(
-            PlainLayer(input_layer.W_H.copy(), input_layer.b_H.copy(), "tanh"), [],
-            SoftmaxHead(head.W.copy(), head.b.copy()),
-        )
+        deep = Network("highway", input_layer + gated + head, "tanh")
+        shallow = Network("highway", input_layer + head, "tanh")
         loss_deep, _ = network_forward_backward(deep, x, labels)
         loss_shallow, _ = network_forward_backward(shallow, x, labels)
         assert abs(loss_deep - loss_shallow) < 1e-3
@@ -688,43 +684,53 @@ class TestNetwork:
         network_forward_backward(net, x[::-1].copy(), labels)
         assert all(np.array_equal(grads[name], kept[name]) for name in kept)
 
-    def test_heterogeneous_body_rejected(self):
-        with pytest.raises(ShapeError, match="homogeneous"):
-            Network(
-                PlainLayer(np.zeros((2, 3)), np.zeros(2)),
-                [PlainLayer(np.zeros((2, 2)), np.zeros(2)),
-                 HighwayLayer(np.zeros((2, 2)), np.zeros(2), np.zeros((2, 2)), np.zeros(2))],
-                SoftmaxHead(np.zeros((2, 2)), np.zeros(2)),
-            )
+    def test_unknown_kind_refused(self):
+        with pytest.raises(ValueError, match="unknown network kind: 'residual'"):
+            Network("residual", [np.zeros((2, 3)), np.zeros(2), np.zeros((2, 2)), np.zeros(2)])
+
+    # (kind, tensor shapes): counts that leave a partial layer, or give a conv net no body layer
+    UNSPLIT = {
+        "highway-partial-body": ("highway", [(2, 3), (2,), (2, 2), (2,), (2, 2), (2,)]),
+        "plain-no-head": ("plain", [(2, 3), (2,), (2, 2)]),
+        "highway-nothing": ("highway", []),
+        "conv-partial-body": ("conv-highway", [(2, 2, 3, 3), (2,), (2, 2, 3, 3), (2, 18), (2,)]),
+        "conv-no-body": ("conv-highway", [(2, 18), (2,)]),
+        "conv-head-only-weight": ("conv-highway", [(2, 18)]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(UNSPLIT))
+    def test_tensor_count_that_does_not_split_refused(self, case):
+        kind, shapes = self.UNSPLIT[case]
+        with pytest.raises(ShapeError, match=f"{len(shapes)} tensors do not split into a '{kind}'"):
+            Network(kind, [np.zeros(shape) for shape in shapes])
+
+    def test_callers_arrays_are_copied(self, small_net):
+        """theta holds a copy of the tensors it is given: writing through the
+        network leaves the caller's arrays as they were, and no layer tensor
+        is one of them."""
+        net, _ = small_net
+        tensors = [p.copy() for _, p in net.parameters()]
+        kept = [t.copy() for t in tensors]
+        built = Network(net.body_kind, tensors, net.layers[0].activation)
+        assert built.theta.tobytes() == net.theta.tobytes()
+        built.theta[...] = 7.0
+        for tensor, before, (_, p) in zip(tensors, kept, built.parameters(), strict=True):
+            assert tensor.tobytes() == before.tobytes()
+            assert not np.shares_memory(tensor, built.theta) and p.base is built.theta
 
     def test_width_break_rejected(self):
-        with pytest.raises(ShapeError):
-            Network(
-                PlainLayer(np.zeros((3, 4)), np.zeros(3)),
-                [PlainLayer(np.zeros((2, 3)), np.zeros(2))],
-                SoftmaxHead(np.zeros((2, 2)), np.zeros(2)),
-            )
+        with pytest.raises(ShapeError, match="body layer 0 width 3x2 breaks the chain at width 3"):
+            Network("plain", [np.zeros((3, 4)), np.zeros(3), np.zeros((2, 3)), np.zeros(2),
+                              np.zeros((2, 2)), np.zeros(2)])
 
-    def test_missing_input_layer_rejected(self):
-        with pytest.raises(ShapeError, match="leading plain layer"):
-            Network(None, [HighwayLayer(np.zeros((2, 2)), np.zeros(2),
-                                        np.zeros((2, 2)), np.zeros(2))],
-                    SoftmaxHead(np.zeros((2, 2)), np.zeros(2)))
-
-    @staticmethod
-    def conv(c):
-        return ConvHighwayLayer(np.zeros((c, c, 3, 3)), np.zeros(c),
-                                np.zeros((c, c, 3, 3)), np.zeros(c))
+    def test_head_width_rejected(self):
+        with pytest.raises(ShapeError, match="head expects width 3, has 2"):
+            Network("highway", [np.zeros((3, 4)), np.zeros(3), np.zeros((2, 2)), np.zeros(2)])
 
     def test_conv_channel_break_rejected(self):
-        with pytest.raises(ShapeError):
-            Network(None, [self.conv(2), self.conv(3)], SoftmaxHead(np.zeros((2, 27)),
-                                                                   np.zeros(2)))
-
-    def test_conv_body_with_input_layer_rejected(self):
-        with pytest.raises(ShapeError):
-            Network(PlainLayer(np.zeros((2, 4)), np.zeros(2)), [self.conv(2)],
-                    SoftmaxHead(np.zeros((2, 18)), np.zeros(2)))
+        conv = lambda c: [np.zeros((c, c, 3, 3)), np.zeros(c)] * 2
+        with pytest.raises(ShapeError, match="body layer 1 width 3x3 breaks the chain at width 2"):
+            Network("conv-highway", conv(2) + conv(3) + [np.zeros((2, 27)), np.zeros(2)])
 
 
 def reference_sweep(net, x, labels):

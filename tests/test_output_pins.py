@@ -53,6 +53,8 @@ JOBS = (
     ("train-highway", "train", [], {"dataset": DENSE, "arch": HIGHWAY,
                                     "init": {"kind": "he", "gate_bias": -2.0}, "sgd": SGD,
                                     "seed": 2}),
+    ("train-highway-depth1", "train", [], {"dataset": DENSE, "arch": {**HIGHWAY, "depth": 1},
+                                           "sgd": SGD, "seed": 12}),  # empty body
     ("train-tanh-glorot", "train", [], {"dataset": DENSE, "arch": {**HIGHWAY, "activation": "tanh"},
                                         "init": {"kind": "glorot", "gate_bias": -1.0},
                                         "sgd": SGD, "seed": 3}),
@@ -125,6 +127,11 @@ PINS = {
         "c5ad0867aeb289d90a9ea4a16f40f4c6ad6cf2e4572f12bb4742013c46f6682b",
     "train-diverged/model.ckpt":
         "b0e4ee3e28ab1fbe070a7f7a7527ebeb5b9b044c619aa7f59bc85bcb3444d863",
+    "train-highway-depth1/exit": 0,
+    "train-highway-depth1/log.csv":
+        "28f756ec85ea7a82486bb9ede18662461fc194e6ce40beff40a3bf11be150c66",
+    "train-highway-depth1/model.ckpt":
+        "8f7b6c38777686e7ed5190bf8857f58064023bb9758902b5dbbc4a567c87fd30",
     "train-highway/exit": 0,
     "train-highway/log.csv":
         "5db633ef026c589dee59f37bfedc9b4feee6399ee6063b9c22283bad1a215a13",
