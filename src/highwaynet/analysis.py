@@ -54,11 +54,14 @@ def gate_report(net: Network, samples: Dataset, probe_index: int = 0) -> GateRep
 
     used = min(MAX_SAMPLES, samples.count)
     sums = np.zeros((len(net.body), net.body[0].out_width))
-    # caches[0] is the input layer's: a dense net's layers are it, then the body.
+    # Layer by layer, so one layer's cache is alive at a time, not the depth's;
+    # a dense net's layers are the input layer, then the body.
     for start in range(0, used, EVAL_BATCH):
-        _, caches = net.forward_caches(samples.inputs[start:min(start + EVAL_BATCH, used)])
-        for row, cache in enumerate(caches[1:]):
-            sums[row] += cache["t"].sum(axis=0)
+        x = samples.inputs[start:min(start + EVAL_BATCH, used)]
+        for row, layer in enumerate(net.layers):
+            x, cache = layer.forward(x)
+            if row:
+                sums[row - 1] += cache["t"].sum(axis=0)
     mean_activity = sums / used
 
     # Block i's output is block i+1's input; the last block's is the result.

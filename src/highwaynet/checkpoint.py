@@ -19,7 +19,8 @@ The header records the architecture and, per parameter, its name and shape:
 Loading rebuilds the network and restores parameters bit-identically:
 Network(body_kind, zeros of the stored shapes, activation) splits the tensors
 into layers, checks that they fit and names them.  The stored names must be
-its names and has_input_layer must say whether it has an input layer.  Any
+its names, body_kind its body kind (an empty body counts as plain) and
+has_input_layer must say whether it has an input layer.  Any
 other header (a missing key, a value of the wrong JSON type, a shape that is
 not a list of non-negative integers, an unknown body kind or activation, a
 tensor count that does not split into the body kind's layers, tensors that
@@ -104,7 +105,7 @@ def load_checkpoint(path) -> Network:
                       header["activation"])
     except ValueError as exc:  # ShapeError included
         raise CheckpointError(f"parameters in {path} make no {kind!r} network: {exc}") from exc
-    if (header["has_input_layer"] != (net.input_layer is not None)
+    if (header["has_input_layer"] != (net.input_layer is not None) or net.body_kind != kind
             or [entry["name"] for entry in header["params"]] != [n for n, _ in net.parameters()]):
         raise CheckpointError(f"parameter layout in {path} does not fit a {kind!r} network")
     net.theta[...] = np.frombuffer(raw, dtype="<f8", count=count, offset=12 + header_len)

@@ -105,7 +105,8 @@ def _as_bytes(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     if inputs.size and not (inputs.min() >= 0.0 and inputs.max() <= 1.0):
         raise FormatError(f"pixels must lie in [0, 1] to be written as bytes: found "
                           f"{inputs.min()} to {inputs.max()}")
-    return np.rint(inputs * 255.0).astype(np.uint8), labels.astype(np.uint8)
+    pixels = np.multiply(inputs, 255.0)  # the one float temporary, rounded in place
+    return np.rint(pixels, out=pixels).astype(np.uint8), labels.astype(np.uint8)
 
 
 def save_idx(ds: Dataset, images_path, labels_path) -> None:
@@ -230,9 +231,11 @@ def synthetic_digits(count: int, seed: int = 0) -> Dataset:
     shifts = rng.integers(5, size=(count, 2))  # row and column shift, each + 2
     intensity = rng.uniform(0.6, 1.0, size=count)
     images = rng.uniform(0.0, 0.3, size=(count, side, side))  # the noise
-    digits = rolled[labels, 5 * shifts[:, 0] + shifts[:, 1]]
-    digits *= intensity[:, None, None]
-    images += digits
+    for start in range(0, count, 256):  # by blocks of rows: no second corpus-sized array
+        rows = slice(start, start + 256)
+        digits = rolled[labels[rows], 5 * shifts[rows, 0] + shifts[rows, 1]]
+        digits *= intensity[rows, None, None]
+        images[rows] += digits
     np.clip(images, 0.0, 1.0, out=images)
     images *= 255.0
     np.rint(images, out=images)

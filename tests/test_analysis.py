@@ -12,6 +12,8 @@ from highwaynet.analysis import (
 from highwaynet.data import Dataset
 from highwaynet.init import InitScheme, build_network, init_network
 from highwaynet.ops import Rng, sigmoid
+from highwaynet.optim import EVAL_BATCH
+from test_data import traced_peak
 
 
 def centered_inputs(count: int, width: int, seed: int, scale: float = 1.0) -> Dataset:
@@ -92,6 +94,35 @@ class TestGateReport:
         assert report.sample_count == 10000
         assert report.mean_activity.tobytes() == gate_report(
             net, Dataset(ds.inputs[:10000], ds.labels[:10000], 2, "probe")).mean_activity.tobytes()
+
+    def test_means_equal_a_forward_caches_reference(self):
+        """The layer-by-layer sums give the bits of sums over each batch's
+        forward_caches, across full and short batches."""
+        net = fresh_highway(depth=6, width=20)
+        ds = centered_inputs(1100, 20, 12)
+        sums = np.zeros((5, 20))
+        for start in range(0, 1100, EVAL_BATCH):
+            _, caches = net.forward_caches(ds.inputs[start:start + EVAL_BATCH])
+            for row, cache in enumerate(caches[1:]):
+                sums[row] += cache["t"].sum(axis=0)
+        report = gate_report(net, ds, probe_index=700)
+        assert report.mean_activity.tobytes() == (sums / 1100).tobytes()
+        _, caches = net.forward_caches(ds.inputs[700:701])
+        assert report.sample_trace.tobytes() == np.stack([c["t"][0] for c in caches[1:]]).tobytes()
+
+    def test_peak_does_not_grow_with_depth(self):
+        """Over 1,024 samples (two batches of 512) a highway-30 report holds
+        about one layer's cache at a time: its tracemalloc peak is within
+        64 KB of a highway-5's, and under a quarter of the 24.6 MB that one
+        batch's caches for all 30 layers take."""
+        ds = centered_inputs(1024, 50, 13)
+        peaks = {}
+        for depth in (5, 30):
+            net = fresh_highway(depth=depth, width=50)
+            peaks[depth] = traced_peak(lambda: gate_report(net, ds))[1]
+        full_caches = 30 * 4 * EVAL_BATCH * 50 * 8  # x, a, h and t per layer
+        assert peaks[30] <= peaks[5] + 64 * 2**10
+        assert peaks[30] < full_caches / 4
 
     def test_plain_body_unsupported(self):
         net = build_network("plain", 4, 6, 6, 3)

@@ -224,6 +224,17 @@ class TestCorruption:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    def test_gated_kind_over_an_empty_body_refused(self, tmp_path):
+        """A depth-1 highway net is stored as plain; naming its input layer
+        and head highway again would load a net that saves as plain, so a
+        load-save round trip would not keep the bytes."""
+        net = init_network(build_network("highway", 1, 6, 5, 3, "tanh"), InitScheme("he", -3.0, 4))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(net, path)
+        rewrite_header(path, lambda h: h.update(body_kind="highway"))
+        with pytest.raises(CheckpointError, match="does not fit a 'highway' network"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("case", sorted(LAYOUT_FAULTS))
     def test_layout_fault(self, tmp_path, case):
         kind, edit = LAYOUT_FAULTS[case]

@@ -1,6 +1,7 @@
 import hashlib
 import os
 import struct
+import tracemalloc
 from contextlib import suppress
 
 import numpy as np
@@ -318,6 +319,16 @@ class TestWriterRefusals:
             write(ds, tmp_path)
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_pixels_rounded_in_one_float_temporary(self, tmp_path, writer):
+        """Scaling to 255 and rounding share one float array the size of the
+        inputs; the bytes add an eighth of it, the CIFAR records another."""
+        features, write = self.WRITERS[writer]
+        ds = Dataset(Rng(4).uniform(0.0, 1.0, size=(500, features)),
+                     np.zeros(500, dtype=np.int64), 10, "peak")
+        _, peak = traced_peak(lambda: write(ds, tmp_path))
+        assert peak <= 1.3 * ds.inputs.nbytes
+
 
 ONE_RECORD = Dataset(np.zeros((1, CIFAR_PIXELS)), np.zeros(1, dtype=np.int64), 10, "one")
 
@@ -453,9 +464,10 @@ class TestSubsetAndBatches:
         assert np.abs(full_frac - sub_frac).max() < 0.06
 
 
-def _per_sample_synthetic_digits(count, seed, side=28, num_classes=10):
-    """synthetic_digits as first written, one np.roll per sample: the
-    reference the gathered version must equal bit for bit."""
+def _reference_draws(count, seed, side=28, num_classes=10):
+    """synthetic_digits' prototypes and draws, in its RNG order: protos
+    [classes, side, side], labels, shifts in [0, 5) per axis, intensity and
+    the noise images."""
     rng = Rng(seed)
     coarse = 7
     protos = []
@@ -472,15 +484,49 @@ def _per_sample_synthetic_digits(count, seed, side=28, num_classes=10):
         proto[proto < 0.55] = 0.0
         protos.append(proto)
     labels = rng.integers(num_classes, size=count).astype(np.int64)
-    images = np.empty((count, side, side))
-    shifts = rng.integers(5, size=(count, 2)) - 2
+    shifts = rng.integers(5, size=(count, 2))
     intensity = rng.uniform(0.6, 1.0, size=count)
     noise = rng.uniform(0.0, 0.3, size=(count, side, side))
+    return np.stack(protos), labels, shifts, intensity, noise
+
+
+def _quantized(images):
+    """Clip to [0, 1] and round to the k/255 grid, as synthetic_digits does."""
+    pixels = np.rint(np.clip(images, 0.0, 1.0) * 255.0).astype(np.uint8)
+    flat = pixels.reshape(len(pixels), images.shape[1] * images.shape[2])
+    return flat.astype(np.float64) / 255.0
+
+
+def _per_sample_synthetic_digits(count, seed):
+    """synthetic_digits as first written, one np.roll per sample: the
+    reference the gathered version must equal bit for bit."""
+    protos, labels, shifts, intensity, noise = _reference_draws(count, seed)
+    images = np.empty_like(noise)
     for i in range(count):
-        img = np.roll(protos[labels[i]], (shifts[i, 0], shifts[i, 1]), axis=(0, 1))
-        images[i] = np.clip(img * intensity[i] + noise[i], 0.0, 1.0)
-    pixels = np.rint(images * 255.0).astype(np.uint8)
-    return pixels.astype(np.float64).reshape(count, side * side) / 255.0, labels
+        img = np.roll(protos[labels[i]], (shifts[i, 0] - 2, shifts[i, 1] - 2), axis=(0, 1))
+        images[i] = img * intensity[i] + noise[i]
+    return _quantized(images), labels
+
+
+def _one_shot_synthetic_digits(count, seed):
+    """synthetic_digits with the whole corpus gathered at once from the
+    table of prototypes pre-rolled to every shift: the reference for the
+    block-at-a-time gather."""
+    protos, labels, shifts, intensity, noise = _reference_draws(count, seed)
+    rolled = np.stack([np.roll(protos, (r - 2, c - 2), axis=(1, 2))
+                       for r in range(5) for c in range(5)], axis=1)
+    digits = rolled[labels, 5 * shifts[:, 0] + shifts[:, 1]]
+    digits *= intensity[:, None, None]
+    return _quantized(noise + digits), labels
+
+
+def traced_peak(call):
+    """(call(), tracemalloc's peak in bytes while it ran)."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestSyntheticDigits:
@@ -502,6 +548,23 @@ class TestSyntheticDigits:
         inputs, labels = _per_sample_synthetic_digits(count, seed)
         assert ds.inputs.tobytes() == inputs.tobytes()
         assert ds.labels.tobytes() == labels.tobytes()
+
+    @pytest.mark.parametrize("count", [1, 255, 256, 257, 600, 1100])
+    def test_equals_one_shot_gather(self, count):
+        """The corpus is built 256 rows at a time; counts around and across
+        that block give the bits of one gather over every row."""
+        ds = synthetic_digits(count, 40 + count)
+        inputs, labels = _one_shot_synthetic_digits(count, 40 + count)
+        assert ds.inputs.tobytes() == inputs.tobytes()
+        assert ds.labels.tobytes() == labels.tobytes()
+
+    def test_peak_is_about_the_corpus(self):
+        """tracemalloc's peak stays near the corpus itself: a gather of
+        every row at once would hold a second corpus-sized array.  The 4 MB
+        cover the table of pre-rolled prototypes and the 256-row block
+        (1.6 MB each); the 10% covers the per-sample draws."""
+        ds, peak = traced_peak(lambda: synthetic_digits(4096, 3))
+        assert peak <= 1.1 * ds.inputs.nbytes + 4 * 2**20
 
     def test_deterministic(self):
         a = synthetic_digits(30, seed=8)
