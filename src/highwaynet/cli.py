@@ -1,10 +1,10 @@
 """Experiment command line: train, sweep, search, analyze.
 
 Each run is driven by a JSON config file (flags override the common keys;
-_build reads each section into its dataclass) and writes a manifest.json
-recording the resolved config, seed, and package version, which is enough to
-reproduce the outputs byte for byte (modulo the wall-time column in the
-training log).
+_build reads each section into its dataclass).  A command makes its output
+directory after its last config check and writes its outputs there; main then
+adds manifest.json (resolved config, seed, package version), enough to
+reproduce them byte for byte bar the wall-time column of the training log.
 
 Exit codes: 0 success; 2 config/usage/format problems; 3 training diverged;
 1 anything unexpected.
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import fields, replace
@@ -68,10 +69,19 @@ def _build(cls, name: str, section, *extra: str, **run):
         raise ConfigError(f"{name}: {exc}") from exc
 
 
+def _finite(text: str, number=float):
+    """A JSON number or NaN/Infinity constant as `number`, refused unless finite as a float."""
+    if not math.isfinite(float(text)):
+        raise ConfigError(f"config: {text} is not a finite number")
+    return number(text)
+
+
 def load_config(path) -> dict:
     try:
         with open(path) as f:
-            return _section("config", json.load(f), CONFIG_KEYS)
+            cfg = json.load(f, parse_constant=_finite, parse_float=_finite,
+                            parse_int=lambda text: _finite(text, int))
+            return _section("config", cfg, CONFIG_KEYS)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
@@ -82,17 +92,14 @@ def load_dataset(cfg: dict, seed: int) -> Dataset:
     return _build(DatasetSpec, "dataset", cfg["dataset"]).load(seed)
 
 
-def _write_manifest(out_dir: str, command: str, cfg: dict, seed: int) -> None:
-    manifest = {"command": command, "config": cfg, "seed": seed, "version": __version__}
-    with open(os.path.join(out_dir, "manifest.json"), "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
+def _write_json(path: str, value) -> None:
+    with open(path, "w") as f:
+        json.dump(value, f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
 
 
-def _setup(cfg: dict, command: str, seed: int):
-    """What train, search and sweep share: the output directory (each command
-    makes it after its last config check), the flat dataset, its
-    NetworkTemplate, and the run fields train takes from arch and init."""
+def _setup(cfg: dict, seed: int):
+    """The flat dataset, its NetworkTemplate, and the run fields train takes from arch and init."""
     # rng_seed is a run field: search.fit derives each run's init seed
     scheme = _build(InitScheme, "init", cfg.get("init", {}), rng_seed=0)
     arch = cfg.get("arch", {})
@@ -105,19 +112,17 @@ def _setup(cfg: dict, command: str, seed: int):
     if activation not in ACTIVATIONS:
         raise ConfigError(f"arch: activation must be one of {', '.join(ACTIVATIONS)}, "
                           f"got {activation!r}")
-    run = {"activation": activation, "gate_bias": scheme.gate_bias}
-    return cfg.get("out_dir", f"runs/{command}"), ds, template, run
+    return ds, template, {"activation": activation, "gate_bias": scheme.gate_bias}
 
 
-def cmd_train(cfg: dict, seed: int) -> int:
-    out_dir, ds, template, run = _setup(cfg, "train", seed)
+def cmd_train(cfg: dict, seed: int, out_dir: str, args) -> int:
+    ds, template, run = _setup(cfg, seed)
     config = _build(TrainConfig, "sgd", cfg.get("sgd", {}), **run)
     os.makedirs(out_dir, exist_ok=True)
     net, log = fit(template, ds, config, seed)
 
     log.write_csv(os.path.join(out_dir, "log.csv"))
     save_checkpoint(net, os.path.join(out_dir, "model.ckpt"))
-    _write_manifest(out_dir, "train", cfg, seed)
     if log.diverged:
         print(f"diverged after {len(log.entries)} epochs; artifacts in {out_dir}")
         return EXIT_DIVERGED
@@ -126,24 +131,21 @@ def cmd_train(cfg: dict, seed: int) -> int:
     return EXIT_OK
 
 
-def cmd_search(cfg: dict, seed: int, jobs: int = 1) -> int:
-    require_int("jobs", jobs)
+def cmd_search(cfg: dict, seed: int, out_dir: str, args) -> int:
     space = _build(SearchSpace, "search", cfg.get("search", {}))
-    out_dir, ds, template, _ = _setup(cfg, "search", seed)
+    ds, template, _ = _setup(cfg, seed)
     os.makedirs(out_dir, exist_ok=True)
-    results = run_search(space, template, ds, seed, jobs=jobs)
+    results = run_search(space, template, ds, seed, jobs=args.jobs)
     write_search_csv(results, os.path.join(out_dir, "search.csv"))
-    _write_manifest(out_dir, "search", cfg, seed)
     best = results[0]
     print(f"search over {space.trials} trials: best loss {best.best_loss:.6f} "
           f"(trial {best.trial}, status {best.status}) -> {out_dir}")
     return EXIT_OK
 
 
-def cmd_sweep(cfg: dict, seed: int, jobs: int = 1) -> int:
+def cmd_sweep(cfg: dict, seed: int, out_dir: str, args) -> int:
     if not cfg.get("depths"):
         raise ConfigError("sweep needs a non-empty 'depths' list")
-    require_int("jobs", jobs)
     space = _build(SearchSpace, "search", cfg.get("search", {}))
     try:  # the kinds and depths alone, before the dataset is built
         if cfg.get("kinds") == []:
@@ -153,9 +155,12 @@ def cmd_sweep(cfg: dict, seed: int, jobs: int = 1) -> int:
                 raise ValueError(f"unknown network kind: {kind!r}")
         for depth in cfg["depths"]:
             require_int("depth", depth)
+        for name, values in (("kinds", cfg.get("kinds", [])), ("depths", cfg["depths"])):
+            if any(value in values[:i] for i, value in enumerate(values)):
+                raise ValueError(f"{name} must not repeat a value, got {values}")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"kinds x depths: {exc}") from exc
-    out_dir, ds, base, _ = _setup(cfg, "sweep", seed)
+    ds, base, _ = _setup(cfg, seed)
     try:  # check every (kind, depth) template before the first search starts
         templates = [replace(base, kind=kind, depth=depth)
                      for kind in cfg.get("kinds", [base.kind]) for depth in cfg["depths"]]
@@ -165,7 +170,7 @@ def cmd_sweep(cfg: dict, seed: int, jobs: int = 1) -> int:
 
     rows = []
     for t in templates:
-        results = run_search(space, t, ds, derive_seed(seed, t.depth), jobs=jobs)
+        results = run_search(space, t, ds, derive_seed(seed, t.depth), jobs=args.jobs)
         write_search_csv(results, os.path.join(out_dir, f"search_{t.kind}_{t.depth}.csv"))
         rows.append((t.kind, t.depth, results[0]))
         print(f"{t.kind} depth={t.depth}: best loss {results[0].best_loss:.6f} "
@@ -177,38 +182,37 @@ def cmd_sweep(cfg: dict, seed: int, jobs: int = 1) -> int:
         for kind, depth, best in rows:
             f.write(f"{kind},{depth},{best.status},{best.best_loss!r},{best.final_loss!r},"
                     f"{config_cells(best.config)},{best.seed}\n")
-    _write_manifest(out_dir, "sweep", cfg, seed)
     return EXIT_OK
 
 
-def cmd_analyze(cfg: dict, seed: int, checkpoint_path: str, out_dir: str, probe_index: int) -> int:
-    net = load_checkpoint(checkpoint_path)
+def cmd_analyze(cfg: dict, seed: int, out_dir: str, args) -> int:
+    net = load_checkpoint(args.checkpoint)
     ds = load_dataset(cfg, seed)
-    report = gate_report(net, ds, probe_index)
-    os.makedirs(out_dir, exist_ok=True)
+    report = gate_report(net, ds, args.probe_index)
     paths = export_report(report, out_dir)
     sparsity = gate_sparsity(report)
+    correlation = bias_activity_correlation(report)  # NaN when undefined; JSON has null
     summary = {
         "sample_count": report.sample_count,
         "layers": int(report.bias_map.shape[0]),
         "width": int(report.bias_map.shape[1]),
         "mean_sparsity": float(sparsity["mean"].mean()),
         "sample_sparsity": float(sparsity["sample"].mean()),
-        "bias_activity_correlation": bias_activity_correlation(report),
+        "bias_activity_correlation": correlation if math.isfinite(correlation) else None,
     }
-    with open(os.path.join(out_dir, "summary.json"), "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-        f.write("\n")
-    _write_manifest(out_dir, "analyze", cfg, seed)
+    _write_json(os.path.join(out_dir, "summary.json"), summary)
     print(f"wrote {len(paths)} gate tables ({summary['layers']}x{summary['width']}) -> {out_dir}")
     return EXIT_OK
+
+
+COMMANDS = {"train": cmd_train, "sweep": cmd_sweep, "search": cmd_search, "analyze": cmd_analyze}
 
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="highwaynet",
                                      description="gated-network experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("train", "sweep", "search", "analyze"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out-dir", default="runs/analyze" if name == "analyze" else None)
@@ -216,8 +220,9 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--data-dir", default=None)
         if name in ("sweep", "search"):
             p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--probe-index", type=int, default=0)
+        if name == "analyze":
+            p.add_argument("--checkpoint", required=True)
+            p.add_argument("--probe-index", type=int, default=0)
     return parser
 
 
@@ -233,13 +238,12 @@ def main(argv=None) -> int:
             keys = [f.name for f in fields(DatasetSpec)]
             _section("dataset", cfg.setdefault("dataset", {}), keys)["dir"] = args.data_dir
         seed = require_int("config: seed", cfg.get("seed", 0), least=None)
-        if args.command == "train":
-            return cmd_train(cfg, seed)
-        if args.command == "search":
-            return cmd_search(cfg, seed, jobs=args.jobs)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, seed, jobs=args.jobs)
-        return cmd_analyze(cfg, seed, args.checkpoint, args.out_dir, args.probe_index)
+        require_int("jobs", getattr(args, "jobs", 1))  # sweep and search only
+        out_dir = cfg.get("out_dir", f"runs/{args.command}")
+        code = COMMANDS[args.command](cfg, seed, out_dir, args)
+        _write_json(os.path.join(out_dir, "manifest.json"), {
+            "command": args.command, "config": cfg, "seed": seed, "version": __version__})
+        return code
     except (ValueError, OSError, MemoryError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

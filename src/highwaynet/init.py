@@ -45,18 +45,13 @@ def init_std(kind: str, fan_in: int, fan_out: int) -> float:
 
 def init_weights(shape, kind: str, rng: Rng) -> np.ndarray:
     """Zero-mean Gaussian fill for a [fan_out x fan_in] matrix or a
-    [c_out, c_in, k, k] conv kernel (fan_in = c_in * k^2)."""
+    [c_out, c_in, k, k] conv kernel: fan_in = c_in * k^2, fan_out = c_out * k^2."""
     shape = tuple(shape)
     if any(d <= 0 for d in shape):
         raise ValueError(f"dimensions must be positive, got {shape}")
-    if len(shape) == 2:
-        fan_out, fan_in = shape
-    elif len(shape) == 4:
-        c_out, c_in, k, k2 = shape
-        fan_in = c_in * k * k2
-        fan_out = c_out * k * k2
-    else:
+    if len(shape) not in (2, 4):
         raise ValueError(f"expected a matrix or conv kernel shape, got {shape}")
+    fan_in, fan_out = math.prod(shape[1:]), shape[0] * math.prod(shape[2:])
     return rng.normal(0.0, init_std(kind, fan_in, fan_out), size=shape)
 
 

@@ -124,6 +124,15 @@ MALFORMED = {
     "sweep-activation-unknown": ("sweep", "arch", "activation",
                                  {"arch": {**HIGHWAY, "activation": "bogus"}, "depths": [1],
                                   "search": SEARCH}),
+    # json.dump writes these as the NaN/Infinity constants, which json.load accepts
+    "sgd-lr0-infinity": ("train", "config", "Infinity", {"sgd": {**SGD, "lr0": float("inf")}}),
+    "init-gate-bias-minus-infinity": ("train", "config", "Infinity",
+                                      {"init": {"kind": "he", "gate_bias": -float("inf")}}),
+    "sgd-momentum-nan": ("train", "config", "NaN", {"sgd": {**SGD, "momentum": float("nan")}}),
+    "search-lr0-infinity": ("search", "config", "Infinity",
+                            {"search": {**SEARCH, "lr0": [0.001, float("inf")]}}),
+    "sweep-decay-nan": ("sweep", "config", "NaN",
+                        {"search": {**SEARCH, "decay": [float("nan"), 1.0]}, "depths": [1]}),
 }
 
 
@@ -262,6 +271,16 @@ class TestMalformedConfig:
         assert re.search(rf"\b{section}\b", err) and re.search(rf"\b{key}\b", err), err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("literal", ["1e400", "-1e400", "1" + "0" * 309],
+                             ids=["1e400", "-1e400", "int-1e309"])
+    def test_number_too_large_for_a_float(self, tmp_path, capsys, literal):
+        cfg = write_config(tmp_path / "c.json", sgd={**SGD, "lr0": 12345.5},
+                           out_dir=str(tmp_path / "run"))
+        cfg.write_text(cfg.read_text().replace("12345.5", literal))
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert literal in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
 
 class TestConfigReference:
     """README's annotated config example, less its // comments, reads through
@@ -302,7 +321,11 @@ class TestSweep:
         ({"depths": [2], "kinds": ["highway", "hghway"]}, "hghway"),
         ({"depths": [2], "kinds": [["highway"]]}, "highway"),
         ({"depths": [2], "kinds": []}, "kinds"),
-    ], ids=["depth-zero", "depth-bool", "kind-typo", "kind-list", "kinds-empty"])
+        ({"depths": [2, 2]}, "[2, 2]"),
+        ({"depths": [2], "kinds": ["highway", "highway"]}, "['highway', 'highway']"),
+        ({"depths": [2, 2], "kinds": ["highway", "highway"]}, "repeat"),
+    ], ids=["depth-zero", "depth-bool", "kind-typo", "kind-list", "kinds-empty",
+            "depth-repeated", "kind-repeated", "both-repeated"])
     def test_grid_checked_before_the_dataset(self, tmp_path, capsys, monkeypatch,
                                              overrides, named):
         def no_dataset(cfg, seed):
@@ -427,6 +450,27 @@ class TestManifest:
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
         assert manifest["config"]["arch"]["depth"] == 3
         assert manifest["config"]["sgd"]["lr0"] == 0.05
+
+    def test_every_json_output_is_strict(self, tmp_path):
+        """A fresh-init net (lr0 0) has one gate bias everywhere, so its
+        bias/activity correlation is undefined: summary.json holds null, and
+        every JSON file the four commands write parses without NaN."""
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        cfg = write_config(tmp_path / "c.json", sgd={**SGD, "lr0": 0.0}, depths=[2],
+                           out_dir=str(tmp_path / "train"))
+        ckpt = str(tmp_path / "train" / "model.ckpt")
+        for command, extra in [("train", []), ("search", []), ("sweep", []),
+                               ("analyze", ["--checkpoint", ckpt])]:
+            assert main([command, "--config", str(cfg), "--out-dir", str(tmp_path / command),
+                         *extra]) == 0
+            for path in (tmp_path / command).glob("*.json"):
+                assert json.loads(path.read_text(), parse_constant=refuse) is not None
+            manifest = json.loads((tmp_path / command / "manifest.json").read_text())
+            assert manifest["command"] == command and manifest["seed"] == 11
+        summary = json.loads((tmp_path / "analyze" / "summary.json").read_text())
+        assert summary["bias_activity_correlation"] is None
 
 
 # The configs the fuzz below starts from: every section present and each run
