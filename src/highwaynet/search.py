@@ -11,8 +11,10 @@ standalone and parallel execution cannot change the outcome.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import numbers
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 from .data import Dataset
@@ -105,20 +107,39 @@ def run_trial(template: NetworkTemplate, dataset: Dataset, config: TrainConfig,
     return TrialResult(trial, config, seed, status, log.best_loss(), log.final_loss(), log)
 
 
-_worker_dataset: Dataset | None = None  # set by the initializer in each search pool worker
+_helper_state: tuple = ()  # (dataset, counter), set by the initializer in each search helper
 
 
-def _share_dataset(dataset: Dataset) -> None:
-    global _worker_dataset
-    _worker_dataset = dataset
+def _share(dataset: Dataset, counter) -> None:
+    global _helper_state
+    _helper_state = (dataset, counter)
 
 
 def _trial_for_index(args):
     template, dataset, space, master_seed, i = args
     seed = derive_seed(master_seed, i)
     config = sample_config(space, Rng(derive_seed(seed, 0)))
-    dataset = _worker_dataset if dataset is None else dataset
     return run_trial(template, dataset, config, seed, trial=i)
+
+
+def _claim_trials(template, dataset, counter, space, master_seed) -> list[TrialResult]:
+    """Run unclaimed trials until none is left; any exception, Ctrl-C too, ends all claims."""
+    results = []
+    try:
+        while True:
+            with counter.get_lock():
+                i, counter.value = counter.value, counter.value + 1
+            if i >= space.trials:
+                return results
+            results.append(_trial_for_index((template, dataset, space, master_seed, i)))
+    except BaseException:
+        with counter.get_lock():
+            counter.value = space.trials
+        raise
+
+
+def _helper_trials(template, space, master_seed) -> list[TrialResult]:
+    return _claim_trials(template, *_helper_state, space, master_seed)
 
 
 def run_search(space: SearchSpace, template: NetworkTemplate, dataset: Dataset,
@@ -127,22 +148,21 @@ def run_search(space: SearchSpace, template: NetworkTemplate, dataset: Dataset,
 
     Ranking is ascending best training cross-entropy with diverged trials
     last; ties break on trial index, so serial and parallel runs agree.
-    Pool tasks carry no data: each worker gets the dataset once, from the
-    pool initializer (inherited, not pickled, under the fork start method).
-    The pool has no more workers than trials: under fork all of them start
-    at the first submit, busy or not.
+    The caller and min(jobs, trials) - 1 helpers take trial indices from one
+    shared counter; helpers get the dataset once, from the pool initializer
+    (inherited, not pickled, under the fork start method).
     """
-    workers = min(require_int("jobs", jobs), space.trials)
+    helpers = min(require_int("jobs", jobs), space.trials) - 1
     if template.kind == "plain":
         space = replace(space, gate_bias=None)
-    shipped = None if workers > 1 else dataset
-    work = [(template, shipped, space, master_seed, i) for i in range(space.trials)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_share_dataset,
-                                 initargs=(dataset,)) as pool:
-            results = list(pool.map(_trial_for_index, work))
-    else:
-        results = [_trial_for_index(w) for w in work]
+    context = multiprocessing.get_context()
+    counter = context.Value("i", 0)
+    with (ProcessPoolExecutor(helpers, context, _share, (dataset, counter)) if helpers
+          else nullcontext()) as pool:
+        futures = [pool.submit(_helper_trials, template, space, master_seed)
+                   for _ in range(helpers)]
+        results = _claim_trials(template, dataset, counter, space, master_seed)
+        results += [r for future in futures for r in future.result()]
     results.sort(key=lambda r: (r.status != "ok", r.best_loss, r.trial))
     return results
 

@@ -1,3 +1,10 @@
+import dataclasses
+import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -99,6 +106,57 @@ class TestFieldChecks:
             SearchSpace(activations=("relu", "swish"))
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+START_METHODS = ("fork", "forkserver", "spawn")
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """Search helpers forked from this process, so they see its monkeypatches."""
+    fork = multiprocessing.get_context("fork")
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: fork)
+
+
+def record_trials(monkeypatch, tmp_path, fail_in=None, helper_hold=0.1):
+    """Replace run_trial, in the caller and in every helper forked after this,
+    with a fake that leaves a file '<trial>-<pid>' per trial it starts.
+
+    fail_in "caller" or "helper" makes every trial of that side raise, and
+    holds each trial of the other side until 0.2 s after one has raised
+    (2 s at most), time enough for the raiser to close the counter.
+    Without it, a helper's trial takes helper_hold seconds (0.1 s lets the
+    caller claim one too).
+    Returns a function that lists the (trial, pid) pairs started so far."""
+    caller = os.getpid()
+
+    def fake_run_trial(template, dataset, config, seed, trial=0):
+        (tmp_path / f"{trial}-{os.getpid()}").touch()
+        in_caller = os.getpid() == caller
+        if fail_in is not None and in_caller == (fail_in == "caller"):
+            (tmp_path / "raised").touch()
+            raise RuntimeError(f"trial {trial} failed")
+        if fail_in is None:
+            time.sleep(0.0 if in_caller else helper_hold)
+        else:
+            deadline = time.monotonic() + 2.0
+            while time.monotonic() < deadline and not (tmp_path / "raised").exists():
+                time.sleep(0.01)
+            time.sleep(0.2)
+        return search.TrialResult(trial, config, seed, "ok", 1.0, 1.0, None)
+
+    monkeypatch.setattr(search, "run_trial", fake_run_trial)
+    return lambda: [tuple(map(int, p.name.split("-"))) for p in tmp_path.glob("*-*")]
+
+
+def comparable(results) -> list:
+    """Every TrialResult field, log entries included, except their seconds."""
+    rows = [dataclasses.asdict(r) for r in results]
+    for row in rows:
+        for entry in row["log"]["entries"]:
+            del entry["seconds"]
+    return rows
+
+
 TINY_SPACE = SearchSpace(trials=3, epochs=2, batch_size=32)
 TEMPLATE = NetworkTemplate("highway", 3, 12, 784, 10)
 
@@ -149,33 +207,63 @@ class TestRunSearch:
         results = run_search(SearchSpace(trials=4, epochs=1, batch_size=32), TEMPLATE, ds, 3,
                              jobs=2)
         assert len(results) == 4
-        assert PickleCountingDataset.pickles <= 2  # the pool has 2 workers, the search 4 tasks
+        assert PickleCountingDataset.pickles <= 1  # one helper; the caller's trials use it as is
 
-    @pytest.mark.parametrize("trials, pools", [(3, [3]), (1, [])])
-    def test_pool_has_no_more_workers_than_trials(self, tiny_dataset, monkeypatch,
-                                                  trials, pools):
-        workers = []
+    @pytest.mark.parametrize("jobs, trials, helpers", [(8, 3, 2), (2, 4, 1), (1, 3, 0),
+                                                        (8, 1, 0)])
+    def test_caller_is_one_of_the_jobs(self, tiny_dataset, tmp_path, monkeypatch, forked,
+                                       jobs, trials, helpers):
+        pools = []
 
-        class InProcessPool:
-            """Records the pool size and runs the tasks here, as a worker would."""
-            def __init__(self, max_workers, initializer, initargs):
-                workers.append(max_workers)
-                initializer(*initargs)
+        class CountingPool(search.ProcessPoolExecutor):
+            def __init__(self, max_workers, *args, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, work):
-                return map(fn, work)
-
-        monkeypatch.setattr(search, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(search, "_worker_dataset", None)  # undone after the test
+        monkeypatch.setattr(search, "ProcessPoolExecutor", CountingPool)
+        started = record_trials(monkeypatch, tmp_path)
         space = SearchSpace(trials=trials, epochs=1, batch_size=32)
-        assert len(run_search(space, TEMPLATE, tiny_dataset, 11, jobs=8)) == trials
-        assert workers == pools  # one trial runs here, with no pool
+        results = run_search(space, TEMPLATE, tiny_dataset, 11, jobs=jobs)
+        assert pools == ([helpers] if helpers else [])
+        assert sorted(r.trial for r in results) == list(range(trials))
+        runs = started()
+        assert sorted(trial for trial, _ in runs) == list(range(trials))  # each ran once
+        assert os.getpid() in {pid for _, pid in runs}
+
+    @pytest.mark.parametrize("fail_in", ["caller", "helper"])
+    def test_failing_trial_stops_the_search(self, tiny_dataset, tmp_path, monkeypatch, forked,
+                                            fail_in):
+        started = record_trials(monkeypatch, tmp_path, fail_in)
+        space = SearchSpace(trials=8, epochs=1, batch_size=32)
+        with pytest.raises(RuntimeError, match="failed"):
+            run_search(space, TEMPLATE, tiny_dataset, 11, jobs=2)
+        assert len(started()) <= 2  # the failed trial and the one the other process held
+
+    def test_counter_hands_out_each_trial_once(self, tiny_dataset, tmp_path, monkeypatch,
+                                               forked):
+        """Eight processes on fewer cores claim 300 instant trials: a lost
+        update of the shared counter would run a trial twice or skip one."""
+        started = record_trials(monkeypatch, tmp_path, helper_hold=0.0)
+        space = SearchSpace(trials=300, epochs=1, batch_size=32)
+        results = run_search(space, TEMPLATE, tiny_dataset, 11, jobs=8)
+        assert sorted(r.trial for r in results) == list(range(300))
+        runs = started()
+        assert sorted(trial for trial, _ in runs) == list(range(300))
+        assert len({pid for _, pid in runs}) > 1
+
+    def test_parallel_matches_serial_under_every_start_method(self):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
+        runs = {}
+        for method in START_METHODS:
+            done = subprocess.run([sys.executable, os.path.abspath(__file__), method], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            runs.update({f"{method} jobs={j}": rows
+                         for j, rows in json.loads(done.stdout).items()})
+        assert len(runs) == 9 and runs["fork jobs=1"][0]["log"]["entries"]
+        for name, rows in runs.items():
+            assert rows == runs["fork jobs=1"], name
 
     def test_trial_reproducible_standalone(self, tiny_dataset):
         results = run_search(TINY_SPACE, TEMPLATE, tiny_dataset, 23)
@@ -222,3 +310,13 @@ class TestSeedDerivation:
         # master XOR splitmix64((i+1) * golden gamma)
         assert derive_seed(0, 0) != 0
         assert derive_seed(5, 2) == 5 ^ derive_seed(0, 2)
+
+
+if __name__ == "__main__":
+    # One 5-trial search at jobs 1, 2 and 3 under the start method named by
+    # the argument; prints comparable() of each as JSON keyed by jobs.
+    multiprocessing.set_start_method(sys.argv[1])
+    dataset = synthetic_digits(200, seed=13)
+    space = SearchSpace(trials=5, epochs=2, batch_size=32)
+    print(json.dumps({jobs: comparable(run_search(space, TEMPLATE, dataset, 11, jobs=jobs))
+                      for jobs in (1, 2, 3)}))
