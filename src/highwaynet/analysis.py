@@ -57,7 +57,7 @@ def gate_report(net: Network, samples: Dataset, probe_index: int = 0) -> GateRep
     # Layer by layer, so one layer's cache is alive at a time, not the depth's;
     # a dense net's layers are the input layer, then the body.
     for start in range(0, used, EVAL_BATCH):
-        x = samples.inputs[start:min(start + EVAL_BATCH, used)]
+        x = samples.rows(slice(start, min(start + EVAL_BATCH, used)))
         for row, layer in enumerate(net.layers):
             x, cache = layer.forward(x)
             if row:
@@ -65,7 +65,7 @@ def gate_report(net: Network, samples: Dataset, probe_index: int = 0) -> GateRep
     mean_activity = sums / used
 
     # Block i's output is block i+1's input; the last block's is the result.
-    y, caches = net.forward_caches(samples.inputs[probe_index:probe_index + 1])
+    y, caches = net.forward_caches(samples.rows(slice(probe_index, probe_index + 1)))
     body_caches = caches[1:]
     sample_trace = np.stack([cache["t"][0] for cache in body_caches])
     block_outputs = np.stack([cache["x"][0] for cache in body_caches[1:]] + [y[0]])

@@ -6,7 +6,8 @@ subsetting, epoch batching, and a deterministic synthetic digit generator
 used when the real archives are not on disk (no downloads happen in the
 library; see tools/fetch_mnist.py).
 
-Pixels are normalized to [0, 1] by dividing by 255; nothing else.
+Pixels are kept as bytes, and Dataset.rows normalizes the rows it is asked
+for to [0, 1] by dividing by 255; nothing else.
 """
 
 from __future__ import annotations
@@ -35,28 +36,43 @@ class FormatError(ValueError):
 
 @dataclass
 class Dataset:
-    inputs: np.ndarray   # [count, features] or [count, c, h, w], float64 in [0, 1]
+    """Inputs are kept as given: uint8 bytes, byte k standing for k/255, or
+    float64 in [0, 1].  rows() is the one place float rows are made."""
+    stored: np.ndarray   # [count, features] or [count, c, h, w], uint8 or float64
     labels: np.ndarray   # [count] integer class ids
     num_classes: int
     name: str
 
     def __post_init__(self):
-        if self.inputs.shape[0] != self.labels.shape[0]:
+        if self.stored.shape[0] != self.labels.shape[0]:
             raise FormatError(
-                f"count mismatch: {self.inputs.shape[0]} inputs vs {self.labels.shape[0]} labels"
+                f"count mismatch: {self.stored.shape[0]} inputs vs {self.labels.shape[0]} labels"
             )
         if self.labels.size and int(self.labels.max()) >= self.num_classes:
             raise FormatError(
                 f"label {int(self.labels.max())} outside [0, {self.num_classes})"
             )
 
+    def rows(self, sel) -> np.ndarray:
+        """The float64 inputs of rows sel: bytes divided by 255.0, one
+        correctly rounded division as the loaders once made it; floats as
+        stored (a view for a slice)."""
+        rows = self.stored[sel]
+        return np.divide(rows, 255.0, dtype=np.float64) if rows.dtype == np.uint8 else rows
+
+    @property
+    def inputs(self) -> np.ndarray:
+        """Every row as float64: a whole byte corpus decoded, which the
+        library never asks for (it reads rows())."""
+        return self.rows(slice(None))
+
     @property
     def count(self) -> int:
-        return self.inputs.shape[0]
+        return self.stored.shape[0]
 
     @property
     def features(self) -> int:
-        return int(np.prod(self.inputs.shape[1:]))
+        return int(np.prod(self.stored.shape[1:]))
 
 
 def _read_idx(path, magic: int, what: str) -> np.ndarray:
@@ -90,18 +106,20 @@ def load_idx(images_path, labels_path) -> Dataset:
     check_paths(images_path=images_path, labels_path=labels_path)
     pixels = _read_idx(images_path, IDX_IMAGE_MAGIC, "image")
     labels = _read_idx(labels_path, IDX_LABEL_MAGIC, "label")
-    inputs = pixels.astype(np.float64).reshape(len(pixels), -1)
-    inputs /= 255.0
-    return Dataset(inputs, labels.astype(np.int64), IDX_CLASSES, "idx")  # checks the counts
+    return Dataset(pixels.reshape(len(pixels), -1), labels.astype(np.int64), IDX_CLASSES,
+                   "idx")  # checks the counts
 
 
 def _as_bytes(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """(pixels, labels) of ds as uint8, refusing a label outside [0, 255] or
-    a pixel outside [0, 1] (NaN included), which a byte would wrap."""
-    labels, inputs = ds.labels, ds.inputs
+    a pixel outside [0, 1] (NaN included), which a byte would wrap.  Stored
+    bytes pass through as they are."""
+    labels, inputs = ds.labels, ds.stored
     if labels.size and not (labels.min() >= 0 and labels.max() <= 255):
         raise FormatError(f"labels must fit in a byte, [0, 255]: found {labels.min()} "
                           f"to {labels.max()}")
+    if inputs.dtype == np.uint8:
+        return inputs, labels.astype(np.uint8)
     if inputs.size and not (inputs.min() >= 0.0 and inputs.max() <= 1.0):
         raise FormatError(f"pixels must lie in [0, 1] to be written as bytes: found "
                           f"{inputs.min()} to {inputs.max()}")
@@ -147,13 +165,13 @@ def load_cifar_binary(paths, variant: str = "cifar10", as_images: bool = False) 
         files.append(np.frombuffer(raw, dtype=np.uint8).reshape(-1, record))
     if not files:
         raise FormatError("empty path list: no CIFAR batch file to read")
-    # Each file's bytes are decoded straight into the one result array.
+    # Each file's pixel bytes are copied straight into the one result array.
     count = sum(len(records) for records in files)
-    inputs, labels = np.empty((count, CIFAR_PIXELS)), np.empty(count, dtype=np.int64)
+    inputs, labels = np.empty((count, CIFAR_PIXELS), np.uint8), np.empty(count, np.int64)
     start = 0
     for records in files:
         rows = slice(start, start + len(records))
-        np.divide(records[:, label_bytes:], 255.0, out=inputs[rows])
+        inputs[rows] = records[:, label_bytes:]
         labels[rows] = records[:, label_bytes - 1]  # the fine label is last
         start = rows.stop
     if as_images:
@@ -181,7 +199,7 @@ def subset(ds: Dataset, n: int, rng: Rng) -> Dataset:
     if n > ds.count:
         raise ValueError(f"cannot take {n} of {ds.count} examples")
     idx = rng.permutation(ds.count)[:n]
-    return Dataset(ds.inputs[idx], ds.labels[idx], ds.num_classes, ds.name)
+    return Dataset(ds.stored[idx], ds.labels[idx], ds.num_classes, ds.name)
 
 
 def batches(ds: Dataset, batch_size: int, rng: Rng | None = None):
@@ -189,14 +207,16 @@ def batches(ds: Dataset, batch_size: int, rng: Rng | None = None):
 
     With an rng the epoch order is a fresh full permutation (inputs and
     labels stay paired; batches are copies); without one the batches are
-    views of consecutive rows.  The last batch may be short.
+    consecutive rows, views of float storage.  Inputs come from ds.rows, so
+    byte storage is decoded one batch at a time.  The last batch may be
+    short.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     order = rng.permutation(ds.count) if rng is not None else None
     for start in range(0, ds.count, batch_size):
         sel = slice(start, start + batch_size) if order is None else order[start:start + batch_size]
-        yield ds.inputs[sel], ds.labels[sel]
+        yield ds.rows(sel), ds.labels[sel]
 
 
 def synthetic_digits(count: int, seed: int = 0) -> Dataset:
@@ -205,9 +225,9 @@ def synthetic_digits(count: int, seed: int = 0) -> Dataset:
     Ten smooth random prototype patterns; each sample is a prototype under a
     random 2-pixel translation (one gather from a [classes, 25, side, side]
     table of the prototypes pre-rolled to every shift), intensity scaling,
-    and pixel noise, then clipped to [0, 1] and rounded to exactly k/255 for
-    an integer k, so it round-trips through the IDX container.  Serves as
-    the offline stand-in when the real archives are absent.
+    and pixel noise, then clipped to [0, 1] and kept as the byte k of its
+    k/255, so it round-trips through the IDX container.  Serves as the
+    offline stand-in when the real archives are absent.
     """
     rng = Rng(seed)
     coarse, side = 7, IDX_SIDE
@@ -230,17 +250,18 @@ def synthetic_digits(count: int, seed: int = 0) -> Dataset:
     labels = rng.integers(IDX_CLASSES, size=count).astype(np.int64)
     shifts = rng.integers(5, size=(count, 2))  # row and column shift, each + 2
     intensity = rng.uniform(0.6, 1.0, size=count)
-    images = rng.uniform(0.0, 0.3, size=(count, side, side))  # the noise
-    for start in range(0, count, 256):  # by blocks of rows: no second corpus-sized array
+    pixels = np.empty((count, side * side), dtype=np.uint8)
+    for start in range(0, count, 256):  # by blocks of rows: no corpus-sized float array
         rows = slice(start, start + 256)
         digits = rolled[labels[rows], 5 * shifts[rows, 0] + shifts[rows, 1]]
         digits *= intensity[rows, None, None]
-        images[rows] += digits
-    np.clip(images, 0.0, 1.0, out=images)
-    images *= 255.0
-    np.rint(images, out=images)
-    images /= 255.0
-    return Dataset(images.reshape(count, side * side), labels, IDX_CLASSES, "synthetic")
+        # the noise, drawn by blocks: the counter-based stream is the same however chunked
+        images = rng.uniform(0.0, 0.3, size=digits.shape)
+        images += digits
+        np.clip(images, 0.0, 1.0, out=images)
+        images *= 255.0
+        pixels[rows] = np.rint(images, out=images).reshape(len(images), -1)
+    return Dataset(pixels, labels, IDX_CLASSES, "synthetic")
 
 
 @dataclass(frozen=True)

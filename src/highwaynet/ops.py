@@ -65,14 +65,17 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     one branch-free pass: exp never overflows, and the result stays positive
     down to x = -745 (the tanh form 0.5*(1+tanh(x/2)) is exactly 0 by -40).
     -|x| is taken as min(x, -x), which passes a NaN x through with its sign
-    bit, as e^x/(1+e^x) would.  Working in place spares temporaries, which
-    cost page faults at batch 512 and at conv sizes.
+    bit, as e^x/(1+e^x) would.  The numerator is max(e, [x >= 0]): since
+    0 <= e <= 1 that is 1 where x >= 0 and e elsewhere, and a NaN e passes
+    through maximum with its payload.  Working in place spares temporaries,
+    which cost page faults at batch 512 and at conv sizes.
     """
     x = np.asarray(x, dtype=np.float64)
     e = np.empty_like(x)
     np.minimum(x, np.negative(x, out=e), out=e)
     np.exp(e, out=e)
-    out = np.where(x >= 0, 1.0, e)
+    out = np.greater_equal(x, 0.0, out=np.empty_like(x))
+    np.maximum(e, out, out=out)
     e += 1.0
     out /= e
     return out

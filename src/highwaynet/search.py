@@ -95,7 +95,7 @@ def fit(template: NetworkTemplate, dataset: Dataset, config: TrainConfig, seed: 
     bias = {} if config.gate_bias is None else {"gate_bias": config.gate_bias}
     init_network(net, InitScheme(t.init_kind, rng_seed=derive_seed(seed, 1), **bias))
     if net.is_conv:
-        dataset = replace(dataset, inputs=dataset.inputs.reshape(-1, *t.image_shape))
+        dataset = replace(dataset, stored=dataset.stored.reshape(-1, *t.image_shape))
     return train(net, dataset, config, Rng(derive_seed(seed, 2)))
 
 

@@ -40,7 +40,7 @@ def desk_corpus_10k() -> Dataset:
 @pytest.fixture(scope="session")
 def desk_corpus_2k(desk_corpus_10k) -> Dataset:
     ds = desk_corpus_10k
-    return Dataset(ds.inputs[:2000], ds.labels[:2000], ds.num_classes, ds.name)
+    return Dataset(ds.stored[:2000], ds.labels[:2000], ds.num_classes, ds.name)
 
 
 @pytest.fixture(params=["plain", "highway", "conv-highway"])

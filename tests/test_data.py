@@ -447,14 +447,27 @@ class TestSubsetAndBatches:
             assert np.array_equal(np.rint(xb[:, 0] * 255.0).astype(np.int64), yb)
 
     def test_sequential_batches_are_views_and_shuffled_ones_copies(self):
-        ds = synthetic_digits(53, seed=4)
+        """Of float storage, that is: byte storage is decoded batch by batch."""
+        digits = synthetic_digits(53, seed=4)
+        ds = Dataset(digits.inputs, digits.labels, digits.num_classes, digits.name)
         sequential = list(batches(ds, 8))
-        assert all(np.shares_memory(xb, ds.inputs) and np.shares_memory(yb, ds.labels)
+        assert all(np.shares_memory(xb, ds.stored) and np.shares_memory(yb, ds.labels)
                    for xb, yb in sequential)
         assert np.array_equal(np.concatenate([xb for xb, _ in sequential]), ds.inputs)
         assert np.array_equal(np.concatenate([yb for _, yb in sequential]), ds.labels)
-        assert not any(np.shares_memory(xb, ds.inputs) or np.shares_memory(yb, ds.labels)
+        assert not any(np.shares_memory(xb, ds.stored) or np.shares_memory(yb, ds.labels)
                        for xb, yb in batches(ds, 8, Rng(1)))
+
+    @pytest.mark.parametrize("rng", [None, Rng(1)], ids=["sequential", "shuffled"])
+    def test_byte_batches_are_decoded_copies(self, rng):
+        ds = synthetic_digits(53, seed=4)
+        inputs = ds.inputs
+        order = Rng(1).permutation(53) if rng is not None else np.arange(53)
+        for start, (xb, yb) in zip(range(0, 53, 8), batches(ds, 8, rng)):
+            sel = order[start:start + 8]
+            assert xb.dtype == np.float64 and xb.tobytes() == inputs[sel].tobytes()
+            assert np.array_equal(yb, ds.labels[sel])
+            assert not np.shares_memory(xb, ds.stored)
 
     def test_label_distribution_roughly_preserved(self):
         ds = synthetic_digits(2000, seed=6)

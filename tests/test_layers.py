@@ -455,7 +455,7 @@ class TestConvProducts:
 
 
 class TestInputsUntouched:
-    """evaluate and gate_report feed the layers views of the dataset's rows,
+    """evaluate and gate_report feed the layers views of a float dataset's rows,
     and gate_report reads cache["t"] after the forward, so no layer may
     write into its input, its upstream gradient or its cache."""
 

@@ -49,23 +49,47 @@ def two_branch_sigmoid(x):
     return out
 
 
+def where_numerator_sigmoid(x):
+    """The earlier one-pass form, whose numerator was np.where(x >= 0, 1.0, e)."""
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 SIGMOID_EDGES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
                           40.0, -40.0, 745.0, -745.0, 800.0, -800.0])
+# NaNs with payloads and either sign, then the subnormal extremes of each sign
+SIGMOID_ODD_BITS = np.concatenate([
+    np.array([0x7FF8000000000123, 0xFFF800000000BEEF, 0x7FF0000000000001,
+              0xFFF0000000000ABC], dtype=np.uint64).view(np.float64),
+    [5e-324, -5e-324, 2.225073858507201e-308, -2.225073858507201e-308]])
+
+
+SIGMOID_INPUTS = pytest.mark.parametrize("x", [
+    np.array(-2.5),
+    SIGMOID_EDGES.reshape(3, 4),
+    SIGMOID_EDGES.reshape(1, 3, 2, 2),
+    SIGMOID_ODD_BITS.reshape(2, 4),
+    np.linspace(-800.0, 800.0, 64 * 50).reshape(64, 50),
+    Rng(5).normal(std=40.0, size=(512, 50)),
+    Rng(6).normal(-2.0, 2.0, size=(64, 3, 32, 32)),
+], ids=["0-d", "edges-2d", "edges-4d", "nan-payloads-subnormals", "grid-64x50",
+        "random-512x50", "random-64x3x32x32"])
+
+
+def assert_same_bits(got, want):
+    assert isinstance(got, np.ndarray) and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestSigmoid:
-    @pytest.mark.parametrize("x", [
-        np.array(-2.5),
-        SIGMOID_EDGES.reshape(3, 4),
-        SIGMOID_EDGES.reshape(1, 3, 2, 2),
-        np.linspace(-800.0, 800.0, 64 * 50).reshape(64, 50),
-        Rng(5).normal(std=40.0, size=(512, 50)),
-    ], ids=["0-d", "edges-2d", "edges-4d", "grid-64x50", "random-512x50"])
+    @SIGMOID_INPUTS
     def test_bits_equal_two_branch_reference(self, x):
-        want = two_branch_sigmoid(x)
-        got = sigmoid(x)
-        assert isinstance(got, np.ndarray) and got.shape == want.shape
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert_same_bits(sigmoid(x), two_branch_sigmoid(x))
+
+    @SIGMOID_INPUTS
+    def test_bits_equal_where_numerator_form(self, x):
+        assert_same_bits(sigmoid(x), where_numerator_sigmoid(x))
 
     def test_strictly_positive_at_minus_40(self):
         assert sigmoid(np.array(-40.0)) > 0.0
