@@ -48,10 +48,9 @@ class Dataset:
             raise FormatError(
                 f"count mismatch: {self.stored.shape[0]} inputs vs {self.labels.shape[0]} labels"
             )
-        if self.labels.size and int(self.labels.max()) >= self.num_classes:
-            raise FormatError(
-                f"label {int(self.labels.max())} outside [0, {self.num_classes})"
-            )
+        low, high = (int(self.labels.min()), int(self.labels.max())) if self.labels.size else (0, -1)
+        if low < 0 or high >= self.num_classes:
+            raise FormatError(f"label {low if low < 0 else high} outside [0, {self.num_classes})")
 
     def rows(self, sel) -> np.ndarray:
         """The float64 inputs of rows sel: bytes divided by 255.0, one

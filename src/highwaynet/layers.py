@@ -23,6 +23,8 @@ from .ops import (
     sigmoid,
 )
 
+_BLOCK_MACS = 1 << 22  # least multiply-adds in a map GEMM of a ConvHighwayLayer.spans block
+
 
 def block_combine(h: np.ndarray, t: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Per-unit gated blend y = h*t + x*(1-t).
@@ -69,6 +71,10 @@ class _Layer:
 
     def parameters(self):
         return [(name, getattr(self, name)) for name in self.PARAMS]
+
+    def spans(self, x) -> list:
+        """The blocks of rows Network.forward walks x in: here one, all of x."""
+        return [slice(None)]
 
     # The first tensor is the [out, in] weight ([c_out, c_in, k, k] for conv).
     @property
@@ -239,6 +245,20 @@ class ConvHighwayLayer(_GateCore):
         padded = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
         return np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(2, 3))
 
+    def spans(self, x) -> list:
+        """Blocks of step images, the last taking the remainder (one block under
+        2 * step): the least multiple of 64 / gcd(h*w, 64) images whose map GEMM
+        makes _BLOCK_MACS multiply-adds.  Such blocks start at a multiple of 64
+        rows and miss OpenBLAS's small-matrix path, so they keep the GEMMs' bits."""
+        # _maps refuses x whole; a 1-channel map is a GEMV, which threads split anywhere
+        if x.ndim != 4 or not x.shape[1] == self.channels > 1:
+            return [slice(None)]
+        batch, c, height, width = x.shape
+        unit = 64 // math.gcd(height * width, 64)
+        step = unit * -(-_BLOCK_MACS // max(unit * height * width * (c * self.kernel_size) ** 2, 1))
+        n = max(batch // step, 1)
+        return [slice(i * step, (i + 1) * step if i + 1 < n else None) for i in range(n)]
+
     def _correlate(self, x: np.ndarray, *kernels: np.ndarray) -> list:
         """Same-size stride-1 cross-correlation of x with each [c_out, c, k, k]
         kernel bank, from one im2col lowering of x ([batch*h*w, c*k*k])."""
@@ -390,10 +410,19 @@ class Network:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Forward pass up to the head's (flattened) input for evaluation:
-        each layer's cache is dropped as soon as the layer returns."""
-        for layer in self.layers:
-            x = layer.forward(x)[0]
-        return self._flatten(x)
+        each layer's cache is dropped as soon as the layer returns.  The layers
+        walk one of the first layer's spans of x at a time, and each span's
+        output fills its rows of the head input (or is it, if x is one span)."""
+        spans, out = self.layers[0].spans(x), None
+        for span in spans:
+            y = x[span]
+            for layer in self.layers:
+                y = layer.forward(y)[0]
+            if len(spans) == 1:
+                return self._flatten(y)
+            out = np.empty((len(x), math.prod(y.shape[1:]))) if out is None else out
+            out[span] = self._flatten(y)
+        return out
 
     def forward_caches(self, x: np.ndarray):
         """Forward pass keeping every layer's cache (for backward/analysis):

@@ -79,6 +79,8 @@ def sgd_step(theta, grad, velocity, lr: float, momentum: float) -> None:
 
 def evaluate(net: Network, ds: Dataset):
     """Mean cross-entropy and accuracy over the whole dataset, by EVAL_BATCH rows."""
+    if ds.count == 0:
+        raise ValueError("empty dataset: nothing to evaluate")
     total_loss, correct = 0.0, 0
     for xb, yb in batches(ds, EVAL_BATCH):
         loss, probs = net.head.loss_probs(net.forward(xb), yb)

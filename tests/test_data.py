@@ -194,6 +194,13 @@ class TestIdx:
         with pytest.raises(FormatError, match="expected 50176 image bytes, found 50166"):
             load_idx(bad, labels)
 
+    @pytest.mark.parametrize("labels, match", [([0, -1, 2], "label -1 outside"),
+                                               ([0, 3, -2], "label -2 outside"),
+                                               ([0, 3, 2], "label 3 outside")])
+    def test_dataset_refuses_a_label_outside_the_classes(self, labels, match):
+        with pytest.raises(FormatError, match=match):
+            Dataset(np.zeros((3, 4)), np.array(labels), 3, "bad")
+
     def test_count_mismatch(self, idx_pair, tmp_path):
         _, images, labels = idx_pair
         ds2 = synthetic_digits(32, seed=9)
@@ -314,7 +321,8 @@ class TestWriterRefusals:
         features, write = self.WRITERS[writer]
         inputs = np.full((2, features), 0.25)
         inputs[1, 7] = pixel
-        ds = Dataset(inputs, np.array([0, label]), 300, "bad")
+        ds = Dataset(inputs, np.array([0, 0]), 300, "bad")
+        ds.labels[1] = label  # past Dataset's own check, as a caller's later write would be
         with pytest.raises(FormatError, match=match):
             write(ds, tmp_path)
         assert os.listdir(tmp_path) == []

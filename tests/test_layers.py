@@ -1,3 +1,4 @@
+import math
 import os
 import tracemalloc
 
@@ -13,6 +14,7 @@ from gradcheck import (
 from highwaynet import checkpoint, init, search
 from highwaynet.init import InitScheme, build_network, init_network
 from highwaynet.layers import (
+    _BLOCK_MACS,
     ConvHighwayLayer,
     HighwayLayer,
     Network,
@@ -803,6 +805,97 @@ class TestNetworkSweep:
         network_forward_backward(net, Rng(94).normal(size=(7, *image_shape)),
                                  Rng(95).integers(5, size=7))
         assert calls == net.layers[:0:-1]
+
+
+def block_step(c, k, side):
+    """The spans rule written out: the least multiple of 64 / gcd(h*w, 64)
+    images whose map GEMM makes _BLOCK_MACS multiply-adds."""
+    unit = 64 // math.gcd(side * side, 64)
+    return unit * math.ceil(_BLOCK_MACS / (unit * side * side * c * c * k * k))
+
+
+def conv_net(c, k, side, depth=2):
+    net = build_network("conv-highway", depth, 0, c * side * side, 5, "relu",
+                        image_shape=(c, side, side), kernel_size=k)
+    return init_network(net, InitScheme("he", -1.0, 100 + c + k + side))
+
+
+class TestEvaluationBlocks:
+    """Network.forward walks a conv net's layers over blocks of images (the
+    first layer's spans) and gives the bits of one walk over the whole batch:
+    each block starts at a multiple of 64 GEMM rows and is too large for
+    OpenBLAS's small-matrix path.  1-channel nets stay one block (their maps
+    are GEMVs, which BLAS threads split at any row)."""
+
+    SIDES = (7, 9, 11, 16, 32)
+    MAX_VALUES = 1_500_000  # per input: a 1x1 kernel over 1 or 3 channels blocks far later
+
+    @staticmethod
+    def batches(step):
+        """Just under two blocks, exactly two, two and a remainder, and EVAL_BATCH."""
+        return (2 * step - 1, 2 * step, 2 * step + step // 2 + 1, 512)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("c", [1, 3, 8, 16])
+    def test_forward_equals_a_whole_batch_walk(self, c, k):
+        for side in self.SIDES:
+            net = conv_net(c, k, side)
+            for batch in self.batches(block_step(c, k, side)):
+                if batch * c * side * side > self.MAX_VALUES:
+                    continue
+                x = Rng(batch + side).normal(size=(batch, c, side, side))
+                y = x
+                for layer in net.layers:
+                    y = layer.forward(y)[0]
+                assert net.forward(x).tobytes() == net._flatten(y).tobytes(), (side, batch)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("c", [1, 3, 8, 16])
+    def test_spans_tile_the_batch_in_aligned_blocks(self, c, k):
+        layer = conv_net(c, k, 7, depth=1).layers[0]
+        for side in self.SIDES:
+            step = block_step(c, k, side)
+            for batch in (0, 1, *self.batches(step), 5 * step + 3):
+                x = np.broadcast_to(0.0, (batch, c, side, side))
+                spans = [span.indices(batch)[:2] for span in layer.spans(x)]
+                assert [start for start, _ in spans] == [0] + [stop for _, stop in spans[:-1]]
+                assert spans[-1][1] == batch
+                if c == 1 or batch < 2 * step:
+                    assert len(spans) == 1
+                    continue
+                for start, stop in spans:
+                    assert (start * side * side) % 64 == 0
+                    assert (stop - start) * side * side * c * c * k * k >= _BLOCK_MACS
+                    assert step <= stop - start < 2 * step
+
+    def test_small_batches_are_one_span(self, small_net):
+        """A dense net's first layer always gives one span, all of x; a conv
+        net's gives one span of a batch under two blocks."""
+        net, x = small_net
+        assert net.layers[0].spans(x) == [slice(0 if net.is_conv else None, None)]
+
+    def test_peak_stays_at_a_block(self):
+        """tracemalloc's peak for one 512-image 3x32x32 forward: the head
+        input (12.6 MB) and one block's working set, where one im2col matrix
+        for the whole batch took 113 MB and the peak 151 MB."""
+        net = conv_net(3, 3, 32)
+        x = Rng(5).normal(size=(512, 3, 32, 32))
+        tracemalloc.start()
+        try:
+            net.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
+
+    @pytest.mark.parametrize("shape, got", [((512, 3 * 16 * 16), r"\(512, 768\)"),
+                                            ((512, 2, 16, 16), r"\(512, 2, 16, 16\)")])
+    def test_flat_or_wrong_channel_input_refused_whole(self, shape, got):
+        net = conv_net(3, 3, 16)
+        message = r"conv highway expects \[batch, 3, h, w\] input, got " + got
+        for call in (net.forward, net.predict_probs):
+            with pytest.raises(ShapeError, match=message):
+                call(np.zeros(shape))
 
 
 class TestParameterCounts:

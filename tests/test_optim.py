@@ -95,6 +95,11 @@ class TestEvaluate:
         ds = Dataset(x, Rng(62).integers(3, size=x.shape[0]), 3, "t")
         assert evaluate(net, ds) == cached_evaluate(net, ds, 512)
 
+    def test_empty_dataset_refused(self, small_net):
+        net, x = small_net
+        with pytest.raises(ValueError, match="empty dataset"):
+            evaluate(net, Dataset(x[:0], np.zeros(0, dtype=np.int64), 3, "empty"))
+
 
 def per_tensor_train(net, ds: Dataset, cfg: SgdConfig, rng: Rng):
     """train's updates, one tensor at a time through a velocity dict."""
