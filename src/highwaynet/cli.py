@@ -2,9 +2,9 @@
 
 Each run is driven by a JSON config file (flags override the common keys;
 _build reads each section into its dataclass).  A command makes its output
-directory after its last config check and writes its outputs there; main then
-adds manifest.json (resolved config, seed, package version), enough to
-reproduce them byte for byte bar the wall-time column of the training log.
+directory after its last config check and writes its outputs there.  main pins
+BLAS to one thread and adds manifest.json (config, seed, version, BLAS, analyze's
+inputs): enough to reproduce the outputs byte for byte bar log.csv's seconds.
 
 Exit codes: 0 success; 2 config/usage/format problems; 3 training diverged;
 1 anything unexpected.
@@ -13,6 +13,7 @@ Exit codes: 0 success; 2 config/usage/format problems; 3 training diverged;
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -25,7 +26,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .data import Dataset, DatasetSpec
 from .init import InitScheme, NetworkTemplate
 from .layers import BODY_KINDS
-from .ops import ACTIVATIONS, derive_seed, require_int
+from .ops import ACTIVATIONS, derive_seed, require_int, set_blas_threads
 from .search import SearchSpace, TrainConfig, config_cells, fit, run_search, write_search_csv
 
 EXIT_OK = 0
@@ -228,6 +229,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    blas = set_blas_threads(1)  # the bits of a run depend on the count
     try:
         cfg = load_config(args.config)
         if args.out_dir is not None:
@@ -241,8 +243,13 @@ def main(argv=None) -> int:
         require_int("jobs", getattr(args, "jobs", 1))  # sweep and search only
         out_dir = cfg.get("out_dir", f"runs/{args.command}")
         code = COMMANDS[args.command](cfg, seed, out_dir, args)
-        _write_json(os.path.join(out_dir, "manifest.json"), {
-            "command": args.command, "config": cfg, "seed": seed, "version": __version__})
+        manifest = {"command": args.command, "config": cfg, "seed": seed,
+                    "version": __version__, "blas": blas}
+        if args.command == "analyze":  # what it reads besides the config
+            with open(args.checkpoint, "rb") as f:
+                manifest["inputs"] = {"checkpoint": args.checkpoint, "probe_index": args.probe_index,
+                                      "sha256": hashlib.sha256(f.read()).hexdigest()}
+        _write_json(os.path.join(out_dir, "manifest.json"), manifest)
         return code
     except (ValueError, OSError, MemoryError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

@@ -7,12 +7,15 @@ gradient checks in the test suite can use tight tolerances.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import numbers
 import os
 
 import numpy as np
 
 ACTIVATIONS = ("relu", "tanh", "identity")
+_OPENBLAS = ("scipy_openblas_{}64_", "scipy_openblas_{}", "openblas_{}64_", "openblas_{}")
 
 
 class ShapeError(ValueError):
@@ -42,6 +45,25 @@ def check_paths(**paths) -> None:
     for name, path in paths.items():
         if not isinstance(path, (str, os.PathLike)):
             raise TypeError(f"{name} must be a str or os.PathLike path, got {path!r}")
+
+
+def set_blas_threads(count: int) -> dict:
+    """Set numpy's OpenBLAS, if a setter is found, to count threads, also for spawned processes;
+    return the build's name and version, OpenBLAS core and count in force, None if unknown."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 prints its config
+        blas = {}
+    info = dict(name=blas.get("name"), version=blas.get("version"), core=None, threads=None)
+    stem = str(info["name"]).replace("-", "_")  # scipy-openblas ships libscipy_openblas64_-*.so
+    for lib in map(ctypes.CDLL, sorted(glob.glob(os.path.dirname(np.__file__) + f".libs/*{stem}*"))):
+        for call in (s.format for s in _OPENBLAS if hasattr(lib, s.format("set_num_threads"))):
+            getattr(lib, call("set_num_threads"))(ctypes.c_int(count))
+            os.environ["OPENBLAS_NUM_THREADS"] = str(count)
+            getattr(lib, call("get_corename")).restype = ctypes.c_char_p
+            return {**info, "core": getattr(lib, call("get_corename"))().decode(),
+                    "threads": getattr(lib, call("get_num_threads"))()}
+    return info
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

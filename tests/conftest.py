@@ -12,11 +12,15 @@ import pytest
 
 from highwaynet.data import Dataset, load_idx, subset, synthetic_digits
 from highwaynet.init import InitScheme, build_network, init_network
-from highwaynet.ops import Rng
+from highwaynet.ops import Rng, set_blas_threads
 
 DATA_DIR = os.environ.get("HIGHWAYNET_DATA_DIR", "data")
 MNIST_IMAGES = os.path.join(DATA_DIR, "train-images-idx3-ubyte")
 MNIST_LABELS = os.path.join(DATA_DIR, "train-labels-idx1-ubyte")
+
+# Every test runs BLAS at one thread, as cli.main does: a GEMM's bits depend
+# on the thread count, and one thread per process lets a search use the cores.
+set_blas_threads(1)
 
 
 def mnist_available() -> bool:

@@ -204,7 +204,8 @@ def test_criterion_3_parameter_parity():
 #   (b) plain-50 best loss >= 3x highway-50
 #   (c) plain-10 and highway-10 both < 0.1
 # Tolerances are loose by design; a failing first master seed triggers one
-# rerun with a second seed before the test fails.
+# rerun with a second seed before the test fails.  Each search runs in two
+# processes, which ranks its trials as a serial one does.
 # -------------------------------------------------------------------------
 
 def _depth_ordering_losses(ds, master_seed: int) -> dict:
@@ -213,7 +214,7 @@ def _depth_ordering_losses(ds, master_seed: int) -> dict:
     for kind, depth, width in (("highway", 10, 50), ("highway", 50, 50),
                                ("plain", 10, 71), ("plain", 50, 71)):
         template = NetworkTemplate(kind, depth, width, ds.features, ds.num_classes)
-        results = run_search(space, template, ds, master_seed)
+        results = run_search(space, template, ds, master_seed, jobs=2)
         best[(kind, depth)] = results[0].best_loss
         say(f"  seed {master_seed} {kind}-{depth}: best loss {results[0].best_loss:.6f}")
     return best

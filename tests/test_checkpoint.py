@@ -96,6 +96,11 @@ BAD_HEADERS = {
     "float-shape": lambda h: h["params"][0].update(shape=[6.5, 5]),
     "list-body_kind": lambda h: h.update(body_kind=["highway"]),
     "string-has_input_layer": lambda h: h.update(has_input_layer="yes"),
+    # each parses to a network that would save a different header
+    "float-format": lambda h: h.update(format=1.0),
+    "boolean-format": lambda h: h.update(format=True),
+    "unknown-key": lambda h: h.update(comment="x"),
+    "unknown-entry-key": lambda h: h["params"][0].update(dtype="f4"),
 }
 
 JSON_VALUES = st.recursive(
@@ -224,6 +229,24 @@ class TestCorruption:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("spell", [
+        lambda h: json.dumps(h, sort_keys=True) + "  ",
+        lambda h: json.dumps(h, sort_keys=True, indent=1),
+        lambda h: json.dumps(dict(reversed(list(h.items())))),
+    ], ids=["trailing-blanks", "indented", "unsorted-keys"])
+    def test_header_spelled_otherwise_refused(self, tmp_path, spell):
+        """The same header JSON in other bytes does not load: a re-save
+        would write the saver's bytes, not these."""
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(make_net("highway"), path)
+        raw = path.read_bytes()
+        (n,) = struct.unpack("<I", raw[8:12])
+        blob = spell(json.loads(raw[12:12 + n])).encode("utf-8")
+        assert blob != raw[12:12 + n]
+        path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + n:])
+        with pytest.raises(CheckpointError, match="not the one save_checkpoint writes"):
+            load_checkpoint(path)
+
     def test_gated_kind_over_an_empty_body_refused(self, tmp_path):
         """A depth-1 highway net is stored as plain; naming its input layer
         and head highway again would load a net that saves as plain, so a
@@ -232,7 +255,7 @@ class TestCorruption:
         path = tmp_path / "m.ckpt"
         save_checkpoint(net, path)
         rewrite_header(path, lambda h: h.update(body_kind="highway"))
-        with pytest.raises(CheckpointError, match="does not fit a 'highway' network"):
+        with pytest.raises(CheckpointError, match="save_checkpoint writes for the 'plain' network"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("case", sorted(LAYOUT_FAULTS))
@@ -262,6 +285,8 @@ class TestCorruption:
         new = data.draw(JSON_VALUES.filter(lambda v: json_type(v) != json_type(old)))
         rewrite_header(path, lambda h: holder(h).__setitem__(last, new))
         try:
-            load_checkpoint(path)
+            net = load_checkpoint(path)
         except CheckpointError:
-            pass
+            return
+        save_checkpoint(net, tmp_path / "again.ckpt")
+        assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()

@@ -1,7 +1,10 @@
 import csv
+import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from hypothesis import strategies as st
 from highwaynet.cli import CONFIG_KEYS, _build, _section, main
 from highwaynet.data import Dataset, DatasetSpec, save_cifar_binary
 from highwaynet.init import InitScheme, NetworkTemplate
-from highwaynet.ops import ACTIVATIONS, Rng
+from highwaynet.ops import ACTIVATIONS, Rng, set_blas_threads
 from highwaynet.search import SearchSpace, TrainConfig
 
 
@@ -451,6 +454,26 @@ class TestManifest:
         assert manifest["config"]["arch"]["depth"] == 3
         assert manifest["config"]["sgd"]["lr0"] == 0.05
 
+    def test_names_the_blas_at_one_thread(self, tmp_path):
+        cfg_path = write_config(tmp_path / "c.json", out_dir=str(tmp_path / "run"))
+        set_blas_threads(2)  # main pins 1 whatever the caller had set
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        blas = json.loads((tmp_path / "run" / "manifest.json").read_text())["blas"]
+        assert blas == set_blas_threads(1) and blas["threads"] in (1, None)
+
+    def test_analyze_names_its_inputs(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", out_dir=str(tmp_path / "run"))
+        assert main(["train", "--config", str(cfg)]) == 0
+        ckpt = str(tmp_path / "run" / "model.ckpt")
+        assert main(["analyze", "--config", str(cfg), "--checkpoint", ckpt,
+                     "--probe-index", "3", "--out-dir", str(tmp_path / "report")]) == 0
+        manifest = json.loads((tmp_path / "report" / "manifest.json").read_text())
+        with open(ckpt, "rb") as f:
+            digest = hashlib.sha256(f.read()).hexdigest()
+        assert manifest["inputs"] == {"checkpoint": ckpt, "probe_index": 3, "sha256": digest}
+        train = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert "inputs" not in train
+
     def test_every_json_output_is_strict(self, tmp_path):
         """A fresh-init net (lr0 0) has one gate bias everywhere, so its
         bias/activity correlation is undefined: summary.json holds null, and
@@ -471,6 +494,33 @@ class TestManifest:
             assert manifest["command"] == command and manifest["seed"] == 11
         summary = json.loads((tmp_path / "analyze" / "summary.json").read_text())
         assert summary["bias_activity_correlation"] is None
+
+
+class TestBlasThreadEnvironment:
+    def test_train_bits_do_not_depend_on_the_thread_variable(self, tmp_path):
+        """main runs BLAS at one thread whatever OPENBLAS_NUM_THREADS says;
+        at 2 threads the input layer's (64, 784) x (784, 50) GEMM sums in
+        another order."""
+        cfg = write_config(tmp_path / "c.json", dataset={"name": "synthetic", "count": 1000},
+                           arch={"kind": "highway", "depth": 10, "width": 50,
+                                 "activation": "relu"},
+                           sgd={"lr0": 0.05, "momentum": 0.9, "decay": 0.95, "epochs": 1,
+                                "batch_size": 64}, seed=1)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+                p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+            out = tmp_path / f"threads{threads}"
+            done = subprocess.run([sys.executable, "-m", "highwaynet.cli", "train", "--config",
+                                   str(cfg), "--out-dir", str(out)], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            log = [row[:-1] for row in csv.reader((out / "log.csv").read_text().splitlines())]
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["blas"] == set_blas_threads(1)
+            outputs.append((log, (out / "model.ckpt").read_bytes()))
+        assert outputs[0] == outputs[1]
 
 
 # The configs the fuzz below starts from: every section present and each run

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from highwaynet.ops import (
     apply_activation,
     derive_seed,
     matmul,
+    set_blas_threads,
     sigmoid,
 )
 
@@ -80,6 +83,30 @@ SIGMOID_INPUTS = pytest.mark.parametrize("x", [
 def assert_same_bits(got, want):
     assert isinstance(got, np.ndarray) and got.shape == want.shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestSetBlasThreads:
+    def test_sets_and_reports_the_count(self, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        try:
+            two = set_blas_threads(2)
+        finally:
+            one = set_blas_threads(1)
+        assert set(one) == {"name", "version", "core", "threads"}
+        assert one["name"] == np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        if one["threads"] is None:
+            pytest.skip(f"no OpenBLAS thread setter found for {one}")
+        assert (two["threads"], one["threads"]) == (2, 1)
+        assert isinstance(one["core"], str) and one["core"] == two["core"]
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+
+    def test_another_blas_is_left_alone(self, monkeypatch):
+        build = {"Build Dependencies": {"blas": {"name": "accelerate", "version": "14"}}}
+        monkeypatch.setattr(np, "show_config", lambda mode: build)
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        assert set_blas_threads(3) == {"name": "accelerate", "version": "14", "core": None,
+                                       "threads": None}
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
 
 
 class TestSigmoid:
