@@ -3,8 +3,8 @@
 Each run is driven by a JSON config file (flags override the common keys;
 _build reads each section into its dataclass).  A command makes its output
 directory after its last config check and writes its outputs there.  main pins
-BLAS to one thread and adds manifest.json (config, seed, version, BLAS, analyze's
-inputs): enough to reproduce the outputs byte for byte bar log.csv's seconds.
+BLAS to one thread and adds manifest.json (config, seed, version, BLAS, the files
+read and their sha256): enough to reproduce the outputs byte for byte bar log.csv's seconds.
 
 Exit codes: 0 success; 2 config/usage/format problems; 3 training diverged;
 1 anything unexpected.
@@ -19,6 +19,7 @@ import math
 import os
 import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 from . import __version__
 from .analysis import bias_activity_correlation, export_report, gate_report, gate_sparsity
@@ -243,12 +244,14 @@ def main(argv=None) -> int:
         require_int("jobs", getattr(args, "jobs", 1))  # sweep and search only
         out_dir = cfg.get("out_dir", f"runs/{args.command}")
         code = COMMANDS[args.command](cfg, seed, out_dir, args)
-        manifest = {"command": args.command, "config": cfg, "seed": seed,
-                    "version": __version__, "blas": blas}
-        if args.command == "analyze":  # what it reads besides the config
-            with open(args.checkpoint, "rb") as f:
-                manifest["inputs"] = {"checkpoint": args.checkpoint, "probe_index": args.probe_index,
-                                      "sha256": hashlib.sha256(f.read()).hexdigest()}
+        files = _build(DatasetSpec, "dataset", cfg["dataset"]).files  # the data files it read
+        inputs = {"data": {path: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+                           for path in files}} if files else {}
+        if args.command == "analyze":  # and the checkpoint
+            inputs.update(checkpoint=args.checkpoint, probe_index=args.probe_index,
+                          sha256=hashlib.sha256(Path(args.checkpoint).read_bytes()).hexdigest())
+        manifest = {"command": args.command, "config": cfg, "seed": seed, "version": __version__,
+                    "blas": blas, **({"inputs": inputs} if inputs else {})}
         _write_json(os.path.join(out_dir, "manifest.json"), manifest)
         return code
     except (ValueError, OSError, MemoryError) as exc:  # ConfigError is a ValueError

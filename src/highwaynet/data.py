@@ -164,15 +164,9 @@ def load_cifar_binary(paths, variant: str = "cifar10", as_images: bool = False) 
         files.append(np.frombuffer(raw, dtype=np.uint8).reshape(-1, record))
     if not files:
         raise FormatError("empty path list: no CIFAR batch file to read")
-    # Each file's pixel bytes are copied straight into the one result array.
-    count = sum(len(records) for records in files)
-    inputs, labels = np.empty((count, CIFAR_PIXELS), np.uint8), np.empty(count, np.int64)
-    start = 0
-    for records in files:
-        rows = slice(start, start + len(records))
-        inputs[rows] = records[:, label_bytes:]
-        labels[rows] = records[:, label_bytes - 1]  # the fine label is last
-        start = rows.stop
+    # each file's records split as save_cifar_binary joins them; the fine label is last
+    inputs = np.concatenate([records[:, label_bytes:] for records in files])
+    labels = np.concatenate([records[:, label_bytes - 1] for records in files], dtype=np.int64)
     if as_images:
         inputs = inputs.reshape(-1, 3, 32, 32)
     return Dataset(inputs, labels, num_classes, variant)
@@ -265,9 +259,9 @@ def synthetic_digits(count: int, seed: int = 0) -> Dataset:
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    """The config's dataset section, checked; load() reads the dataset it
-    names.  A seed of None is the run's seed, and an empty images or labels
-    path is MNIST's training file of that kind under dir."""
+    """The config's dataset section, checked; load() reads the dataset it names from the paths
+    in files (none for synthetic).  A seed of None is the run's seed, and an empty images or
+    labels path is MNIST's training file of that kind under dir."""
     name: str = "synthetic"
     seed: int | None = None
     count: int = 10000
@@ -292,6 +286,12 @@ class DatasetSpec:
                 and (self.paths or self.name not in CIFAR_VARIANTS)):
             raise ValueError(f"paths must list the path strings cifar reads, got {self.paths!r}")
 
+    @property
+    def files(self) -> tuple:
+        mnist = (self.images or os.path.join(self.dir, "train-images-idx3-ubyte"),
+                 self.labels or os.path.join(self.dir, "train-labels-idx1-ubyte"))
+        return {"mnist": mnist, "synthetic": ()}.get(self.name, self.paths)  # cifar's paths
+
     def load(self, run_seed: int) -> Dataset:
         """The dataset, with flat inputs."""
         seed = run_seed if self.seed is None else self.seed
@@ -299,12 +299,11 @@ class DatasetSpec:
             ds = synthetic_digits(self.count, seed)
         elif self.name == "mnist":
             try:
-                ds = load_idx(self.images or os.path.join(self.dir, "train-images-idx3-ubyte"),
-                              self.labels or os.path.join(self.dir, "train-labels-idx1-ubyte"))
+                ds = load_idx(*self.files)
             except FileNotFoundError as exc:
                 raise FileNotFoundError(f"{exc} (tools/fetch_mnist.py fetches it)") from exc
         else:
-            ds = load_cifar_binary(self.paths, self.name)
+            ds = load_cifar_binary(self.files, self.name)
         if self.subset is not None:
             ds = subset(ds, self.subset, Rng(derive_seed(seed, 90)))
         return ds

@@ -409,17 +409,14 @@ class Network:
         return y.reshape(len(y), math.prod(y.shape[1:]))  # dense y: a view with its strides
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Forward pass up to the head's (flattened) input for evaluation:
-        each layer's cache is dropped as soon as the layer returns.  The layers
-        walk one of the first layer's spans of x at a time, and each span's
-        output fills its rows of the head input (or is it, if x is one span)."""
-        spans, out = self.layers[0].spans(x), None
-        for span in spans:
+        """Forward pass up to the head's (flattened) input for evaluation: each layer's cache is
+        dropped as soon as the layer returns.  The layers walk one of the first layer's spans of x
+        at a time, and each span's output fills its rows of the head input."""
+        out = None
+        for span in self.layers[0].spans(x):
             y = x[span]
             for layer in self.layers:
                 y = layer.forward(y)[0]
-            if len(spans) == 1:
-                return self._flatten(y)
             out = np.empty((len(x), math.prod(y.shape[1:]))) if out is None else out
             out[span] = self._flatten(y)
         return out

@@ -115,8 +115,7 @@ def _share(dataset: Dataset, counter) -> None:
     _helper_state = (dataset, counter)
 
 
-def _trial_for_index(args):
-    template, dataset, space, master_seed, i = args
+def _trial_for_index(template, dataset, space, master_seed, i):
     seed = derive_seed(master_seed, i)
     config = sample_config(space, Rng(derive_seed(seed, 0)))
     return run_trial(template, dataset, config, seed, trial=i)
@@ -131,7 +130,7 @@ def _claim_trials(template, dataset, counter, space, master_seed) -> list[TrialR
                 i, counter.value = counter.value, counter.value + 1
             if i >= space.trials:
                 return results
-            results.append(_trial_for_index((template, dataset, space, master_seed, i)))
+            results.append(_trial_for_index(template, dataset, space, master_seed, i))
     except BaseException:
         with counter.get_lock():
             counter.value = space.trials

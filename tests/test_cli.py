@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from highwaynet.cli import CONFIG_KEYS, _build, _section, main
-from highwaynet.data import Dataset, DatasetSpec, save_cifar_binary
+from highwaynet.data import Dataset, DatasetSpec, save_cifar_binary, save_idx, synthetic_digits
 from highwaynet.init import InitScheme, NetworkTemplate
 from highwaynet.ops import ACTIVATIONS, Rng, set_blas_threads
 from highwaynet.search import SearchSpace, TrainConfig
@@ -473,6 +473,37 @@ class TestManifest:
         assert manifest["inputs"] == {"checkpoint": ckpt, "probe_index": 3, "sha256": digest}
         train = json.loads((tmp_path / "run" / "manifest.json").read_text())
         assert "inputs" not in train
+
+    @staticmethod
+    def sha256(path) -> str:
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_idx_train_names_both_files(self, tmp_path):
+        images, labels = tmp_path / "digits.idx3", tmp_path / "digits.idx1"
+        save_idx(synthetic_digits(150, seed=3), images, labels)
+        cfg = write_config(tmp_path / "c.json", out_dir=str(tmp_path / "run"),
+                           dataset={"name": "mnist", "images": str(images), "labels": str(labels)})
+        assert main(["train", "--config", str(cfg)]) == 0
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["inputs"] == {"data": {str(images): self.sha256(images),
+                                               str(labels): self.sha256(labels)}}
+
+    def test_cifar_search_names_its_path_and_its_bytes(self, tmp_path):
+        """The digest is of the bytes read: one changed pixel byte changes it."""
+        path = tmp_path / "cifar.bin"
+        save_cifar_binary(Dataset(Rng(4).uniform(size=(48, 3072)), Rng(5).integers(10, size=48),
+                                  10, "cifar10"), path)
+        cfg = write_config(tmp_path / "c.json", dataset={"name": "cifar10", "paths": [str(path)]})
+        digests = []
+        for run in ("before", "after"):
+            assert main(["search", "--config", str(cfg), "--out-dir", str(tmp_path / run)]) == 0
+            manifest = json.loads((tmp_path / run / "manifest.json").read_text())
+            assert manifest["inputs"] == {"data": {str(path): self.sha256(path)}}
+            digests.append(manifest["inputs"]["data"][str(path)])
+            raw = bytearray(path.read_bytes())
+            raw[100] ^= 1
+            path.write_bytes(bytes(raw))
+        assert digests[0] != digests[1]
 
     def test_every_json_output_is_strict(self, tmp_path):
         """A fresh-init net (lr0 0) has one gate bias everywhere, so its

@@ -8,11 +8,15 @@ CIFAR and IDX files the jobs read (written by `save_cifar_binary` and
 column, the search and sweep tables, the four heatmap tables and the
 analysis summary.  A broken pin is a changed output bit.
 
-The pins hold for one numpy and BLAS build; under another the test skips
-and names both.  The test never records pins.  `python
-tests/test_output_pins.py DIR` prints the digests of the current tree
-(DIR must exist and be empty); copy them here by hand only when an output
-is meant to change.
+The pins hold per numpy version, BLAS build and OpenBLAS core: the core
+picks the GEMM kernels, and each kernel sums in its own order.  The jobs run
+once under each recorded core that the host can load (OPENBLAS_CORETYPE
+names it).  Under another numpy or BLAS build, or on a host whose own core
+has no pins, the test skips and names them.  The test never records pins.
+`python tests/test_output_pins.py DIR` prints the digests of the current
+tree under the core it loads, keyed by that core (DIR must exist and be
+empty; set OPENBLAS_CORETYPE to record another core); copy them here by
+hand only when an output is meant to change or a core is added.
 """
 
 import contextlib
@@ -24,6 +28,8 @@ import sys
 
 import numpy as np
 import pytest
+
+from highwaynet.ops import set_blas_threads
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -77,9 +83,9 @@ JOBS = (
      {"dataset": {**DENSE, "count": 1100}, "seed": 2}),  # gate means over 512 + 512 + 76
 )
 
-# Digests of the current outputs, recorded under this environment.
+# Digests of the current outputs, recorded under this numpy and BLAS build, per OpenBLAS core.
 PINNED_ENVIRONMENT = {"numpy": "2.4.6", "blas": "scipy-openblas", "blas_version": "0.3.31.188.0"}
-PINS = {
+SKYLAKEX = {
     "analyze/bias_map.csv":
         "eb69138f3193dffc0871f2e8990e218088b60d8baeee57f52f301913c2735435",
     "analyze/block_outputs.csv":
@@ -153,15 +159,82 @@ PINS = {
     "train-tanh-glorot/model.ckpt":
         "70d5ffdda7dfb088d69dc7d3ad690fa8c183aef8a200d3c84cd124525c7d1018",
 }
+# Under the Haswell kernels the GEMMs sum in another order.  The data files, the exit codes,
+# the diverged run's log and three of the sweep's search tables keep SkylakeX's digests.
+HASWELL = {
+    **SKYLAKEX,
+    "analyze/bias_map.csv":
+        "ed3a59b13906fd3d8966fdcb4f4c8cbe26eb0f0d1e7e31a26a68ba2d558902dc",
+    "analyze/block_outputs.csv":
+        "822e28e425a327913967365f1f4be5d73673805ae64fb229fc62a190f957a54b",
+    "analyze/mean_activity.csv":
+        "fd15a7a594f5791eb8c001b8b6a301a0dc787ccabdc1133ce4f5114247b0baa3",
+    "analyze/sample_trace.csv":
+        "485550727accb1681cdc94ce9f833445f63554184807c5365bf23bf6cf59ef73",
+    "analyze/summary.json":
+        "18a2da9f1e4ac8e06c04b0b2d34f2d95cda283b8105e4c2b310f2bc6ee7ce4ca",
+    "search-conv/search.csv":
+        "32e4daed2a6df0b36e65d7e50bf901470b72cc9191c8a01dcd3520315c85e737",
+    "search-jobs1/search.csv":
+        "49b47ea94e0109b543923eacd96f6ede40d57f176c03bdaf02565d88954ef3d4",
+    "search-jobs2/search.csv":
+        "49b47ea94e0109b543923eacd96f6ede40d57f176c03bdaf02565d88954ef3d4",
+    "sweep/search_highway_3.csv":
+        "1588b5d84f99e0e19f23e46b8704de9f7d5bf6b23ec2832db2e9f27ec3283f47",
+    "sweep/sweep.csv":
+        "e4f82cbc98697e53b6ac7d38bdd45c4cedb6e1ac80862ee7da79334d2396c916",
+    "train-conv/log.csv":
+        "541c1605bbd8b384992ebe0bc1c2e561e042a51094f96a4da82d266059458570",
+    "train-conv/model.ckpt":
+        "0b5827c4c026d4301b5d4cc855049e4b0d86ddca22746b5152c5d69ff4ae9e00",
+    "train-diverged/model.ckpt":
+        "a0d97e2ebb2e0359d15e94b083ca64dbdea353aa2012575507616e73c2581184",
+    "train-highway-depth1/log.csv":
+        "76a1bdda42bd14730b8a6039088df43457a17b28790d1e4eb64b7d0e1e56782c",
+    "train-highway-depth1/model.ckpt":
+        "fef0e18db24d4529ebc3cc2a01af87e93f690154a79aa600cebc6d3c5445581b",
+    "train-highway/log.csv":
+        "9356cf250227dde3a1d59487953f1752853b72c9218c2a00df09aaf0b7322e85",
+    "train-highway/model.ckpt":
+        "0705d461c436871384375b132491ca12003f4f62ff45ef56d1eb9e1e43f8af53",
+    "train-idx/log.csv":
+        "1c59f66b6e55a01ffabfc67b8675e1bc6fa84e0183ac6d0f356681af5b8c0c07",
+    "train-idx/model.ckpt":
+        "7e092d6b4a9c8308fd43ddef657c5c43b94e6fd5a2c081c1702bd960314f1fe3",
+    "train-plain/log.csv":
+        "2a39f560aff8d82e577f5c90254f02b22f87a04aefeab5765d5299711886908d",
+    "train-plain/model.ckpt":
+        "cdeb8a90cfa9f2950afa7483250df2e76a27ac6b1a3bce7f8e380c15f52b031b",
+    "train-tanh-glorot/log.csv":
+        "8301e4ecee559ea64fe66f53aa6e7ca6821dc85a641a5c1e3c5b130180afcac7",
+    "train-tanh-glorot/model.ckpt":
+        "bf0e0505b06c0a8ed144a6ab508c4186e79071ef51dcf6301b54125b88e74895",
+}
+PINS = {"SkylakeX": SKYLAKEX, "Haswell": HASWELL}
 
 
 def environment() -> dict:
-    """numpy's version and the BLAS build it was compiled against."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):  # numpy before 1.26 prints its config
-        blas = {}
-    return {"numpy": np.__version__, "blas": blas.get("name"), "blas_version": blas.get("version")}
+    """numpy's version and the BLAS build it was compiled against, as the manifest names them."""
+    blas = set_blas_threads(1)
+    return {"numpy": np.__version__, "blas": blas["name"], "blas_version": blas["version"]}
+
+
+def core() -> str | None:
+    """The OpenBLAS core this process loaded, which picks the GEMM kernels."""
+    return set_blas_threads(1)["core"]
+
+
+# One GEMM under a forced core: a host that lacks the core's instructions dies on it, or
+# OpenBLAS falls back to another core and names that one.
+PROBE = ("import numpy as np; from highwaynet.ops import set_blas_threads; "
+         "np.ones((64, 64)) @ np.ones((64, 64)); print(set_blas_threads(1)['core'])")
+
+
+def loads(name: str, env: dict) -> bool:
+    """Whether this host runs OpenBLAS's kernels for the core `name`."""
+    done = subprocess.run([sys.executable, "-c", PROBE], env={**env, "OPENBLAS_CORETYPE": name},
+                          capture_output=True, text=True, timeout=120)
+    return done.returncode == 0 and done.stdout.strip() == name
 
 
 def _digest(path) -> str:
@@ -202,20 +275,30 @@ def run_jobs(workdir) -> dict:
 
 
 def test_outputs_match_the_pins(tmp_path):
-    here = environment()
-    if here != PINNED_ENVIRONMENT:
-        pytest.skip(f"pins recorded under {PINNED_ENVIRONMENT}, this environment is {here}")
+    """The jobs run once under each recorded core that this host can load."""
+    here, host = environment(), core()
+    if here != PINNED_ENVIRONMENT or host not in PINS:
+        pytest.skip(f"pins recorded under {PINNED_ENVIRONMENT} for the OpenBLAS cores "
+                    f"{sorted(PINS)}, this environment is {here} on the core {host}")
     env = {**os.environ, **{var: "1" for var in THREAD_VARS}}
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, os.path.abspath(__file__), str(tmp_path)], env=env,
-                          capture_output=True, text=True, timeout=600)
-    assert done.returncode == 0, done.stderr
-    digests = json.loads(done.stdout)
-    changed = sorted(k for k in set(PINS) | set(digests) if PINS.get(k) != digests.get(k))
-    assert not changed, f"outputs differ from their pins: {changed}"
+    for name, pins in PINS.items():
+        if name != host and not loads(name, env):
+            continue
+        workdir = tmp_path / name
+        workdir.mkdir()
+        done = subprocess.run([sys.executable, os.path.abspath(__file__), str(workdir)],
+                              env={**env, "OPENBLAS_CORETYPE": name}, capture_output=True,
+                              text=True, timeout=600)
+        assert done.returncode == 0, done.stderr
+        (loaded, digests), = json.loads(done.stdout).items()
+        assert loaded == name
+        changed = sorted(k for k in set(pins) | set(digests) if pins.get(k) != digests.get(k))
+        assert not changed, f"outputs under {name} differ from their pins: {changed}"
 
 
 if __name__ == "__main__":
     if len(sys.argv) != 2 or not os.path.isdir(sys.argv[1]) or os.listdir(sys.argv[1]):
         sys.exit("usage: python tests/test_output_pins.py EMPTY_DIR")
-    print(json.dumps(run_jobs(sys.argv[1]), indent=4, sort_keys=True))
+    digests = run_jobs(sys.argv[1])
+    print(json.dumps({core(): digests}, indent=4, sort_keys=True))
