@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Dataset
 from .layers import HighwayLayer, Network
-from .ops import check_paths
+from .ops import check_paths, write_csv
 from .optim import EVAL_BATCH
 
 MAX_SAMPLES = 10000  # gate means are taken over at most this many samples
@@ -102,22 +102,17 @@ def bias_activity_correlation(report: GateReport) -> float:
 _CSV_NAMES = ("bias_map", "mean_activity", "sample_trace", "block_outputs")
 
 
-def _write_matrix(path, matrix: np.ndarray) -> None:
-    with open(path, "w") as f:
-        f.write(",".join(f"block_{j}" for j in range(matrix.shape[1])) + "\n")
-        for row in matrix:
-            f.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
 def export_report(report: GateReport, out_dir) -> list[str]:
-    """Write the four heatmap tables; rows are layers with depth increasing
-    downward, columns are blocks.  Returns the file paths."""
+    """Write the four heatmap tables, cells at 17 significant digits; rows
+    are layers with depth increasing downward, columns are blocks.  Returns
+    the file paths."""
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for name in _CSV_NAMES:
-        path = os.path.join(out_dir, f"{name}.csv")
+        path, matrix = os.path.join(out_dir, f"{name}.csv"), getattr(report, name)
         try:
-            _write_matrix(path, getattr(report, name))
+            write_csv(path, [f"block_{j}" for j in range(matrix.shape[1])],
+                      ([f"{v:.17g}" for v in row] for row in matrix))
         except OSError as exc:
             raise OSError(f"could not write {path}: {exc}") from exc
         paths.append(path)

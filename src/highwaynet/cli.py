@@ -24,11 +24,12 @@ from pathlib import Path
 from . import __version__
 from .analysis import bias_activity_correlation, export_report, gate_report, gate_sparsity
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import Dataset, DatasetSpec
+from .data import DatasetSpec
 from .init import InitScheme, NetworkTemplate
 from .layers import BODY_KINDS
-from .ops import ACTIVATIONS, derive_seed, require_int, set_blas_threads
-from .search import SearchSpace, TrainConfig, config_cells, fit, run_search, write_search_csv
+from .ops import ACTIVATIONS, derive_seed, require_int, set_blas_threads, write_csv
+from .search import (CONFIG_COLUMNS, SearchSpace, TrainConfig, config_cells, fit, run_search,
+                     write_search_csv)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -88,26 +89,20 @@ def load_config(path) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
 
-def load_dataset(cfg: dict, seed: int) -> Dataset:
-    if "dataset" not in cfg:
-        raise ConfigError("config is missing the 'dataset' section (what to train on)")
-    return _build(DatasetSpec, "dataset", cfg["dataset"]).load(seed)
-
-
 def _write_json(path: str, value) -> None:
     with open(path, "w") as f:
         json.dump(value, f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
 
 
-def _setup(cfg: dict, seed: int):
+def _setup(cfg: dict, spec: DatasetSpec, seed: int):
     """The flat dataset, its NetworkTemplate, and the run fields train takes from arch and init."""
     # rng_seed is a run field: search.fit derives each run's init seed
     scheme = _build(InitScheme, "init", cfg.get("init", {}), rng_seed=0)
     arch = cfg.get("arch", {})
     if isinstance(arch, dict) and arch.get("kind") == "conv-highway":  # _build refuses a non-dict
         arch = {"width": 0, **arch}  # unused by conv layers, which keep the image's channels
-    ds = load_dataset(cfg, seed)
+    ds = spec.load(seed)
     template = _build(NetworkTemplate, "arch", arch, "activation", in_features=ds.features,
                       classes=ds.num_classes, init_kind=scheme.kind)
     activation = arch.get("activation", "relu")
@@ -117,8 +112,8 @@ def _setup(cfg: dict, seed: int):
     return ds, template, {"activation": activation, "gate_bias": scheme.gate_bias}
 
 
-def cmd_train(cfg: dict, seed: int, out_dir: str, args) -> int:
-    ds, template, run = _setup(cfg, seed)
+def cmd_train(cfg: dict, spec: DatasetSpec, seed: int, out_dir: str, args) -> int:
+    ds, template, run = _setup(cfg, spec, seed)
     config = _build(TrainConfig, "sgd", cfg.get("sgd", {}), **run)
     os.makedirs(out_dir, exist_ok=True)
     net, log = fit(template, ds, config, seed)
@@ -133,9 +128,9 @@ def cmd_train(cfg: dict, seed: int, out_dir: str, args) -> int:
     return EXIT_OK
 
 
-def cmd_search(cfg: dict, seed: int, out_dir: str, args) -> int:
+def cmd_search(cfg: dict, spec: DatasetSpec, seed: int, out_dir: str, args) -> int:
     space = _build(SearchSpace, "search", cfg.get("search", {}))
-    ds, template, _ = _setup(cfg, seed)
+    ds, template, _ = _setup(cfg, spec, seed)
     os.makedirs(out_dir, exist_ok=True)
     results = run_search(space, template, ds, seed, jobs=args.jobs)
     write_search_csv(results, os.path.join(out_dir, "search.csv"))
@@ -145,7 +140,7 @@ def cmd_search(cfg: dict, seed: int, out_dir: str, args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(cfg: dict, seed: int, out_dir: str, args) -> int:
+def cmd_sweep(cfg: dict, spec: DatasetSpec, seed: int, out_dir: str, args) -> int:
     if not cfg.get("depths"):
         raise ConfigError("sweep needs a non-empty 'depths' list")
     space = _build(SearchSpace, "search", cfg.get("search", {}))
@@ -162,7 +157,7 @@ def cmd_sweep(cfg: dict, seed: int, out_dir: str, args) -> int:
                 raise ValueError(f"{name} must not repeat a value, got {values}")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"kinds x depths: {exc}") from exc
-    ds, base, _ = _setup(cfg, seed)
+    ds, base, _ = _setup(cfg, spec, seed)
     try:  # check every (kind, depth) template before the first search starts
         templates = [replace(base, kind=kind, depth=depth)
                      for kind in cfg.get("kinds", [base.kind]) for depth in cfg["depths"]]
@@ -174,22 +169,18 @@ def cmd_sweep(cfg: dict, seed: int, out_dir: str, args) -> int:
     for t in templates:
         results = run_search(space, t, ds, derive_seed(seed, t.depth), jobs=args.jobs)
         write_search_csv(results, os.path.join(out_dir, f"search_{t.kind}_{t.depth}.csv"))
-        rows.append((t.kind, t.depth, results[0]))
-        print(f"{t.kind} depth={t.depth}: best loss {results[0].best_loss:.6f} "
-              f"({results[0].status})")
-
-    with open(os.path.join(out_dir, "sweep.csv"), "w") as f:
-        f.write("kind,depth,status,best_loss,final_loss,lr0,momentum,decay,"
-                "activation,gate_bias,seed\n")
-        for kind, depth, best in rows:
-            f.write(f"{kind},{depth},{best.status},{best.best_loss!r},{best.final_loss!r},"
-                    f"{config_cells(best.config)},{best.seed}\n")
+        best = results[0]
+        rows.append((t.kind, t.depth, best.status, best.best_loss, best.final_loss,
+                     *config_cells(best.config), best.seed))
+        print(f"{t.kind} depth={t.depth}: best loss {best.best_loss:.6f} ({best.status})")
+    write_csv(os.path.join(out_dir, "sweep.csv"), ("kind", "depth", "status", "best_loss",
+                                                   "final_loss", *CONFIG_COLUMNS, "seed"), rows)
     return EXIT_OK
 
 
-def cmd_analyze(cfg: dict, seed: int, out_dir: str, args) -> int:
+def cmd_analyze(cfg: dict, spec: DatasetSpec, seed: int, out_dir: str, args) -> int:
     net = load_checkpoint(args.checkpoint)
-    ds = load_dataset(cfg, seed)
+    ds = spec.load(seed)
     report = gate_report(net, ds, args.probe_index)
     paths = export_report(report, out_dir)
     sparsity = gate_sparsity(report)
@@ -237,16 +228,17 @@ def main(argv=None) -> int:
             cfg["out_dir"] = args.out_dir
         if args.seed is not None:
             cfg["seed"] = args.seed
-        if args.data_dir is not None:
-            keys = [f.name for f in fields(DatasetSpec)]
-            _section("dataset", cfg.setdefault("dataset", {}), keys)["dir"] = args.data_dir
+        if "dataset" not in cfg:
+            raise ConfigError("config is missing the 'dataset' section (what to train on)")
+        if args.data_dir is not None and isinstance(cfg["dataset"], dict):  # else _build refuses
+            cfg["dataset"]["dir"] = args.data_dir
+        spec = _build(DatasetSpec, "dataset", cfg["dataset"])
         seed = require_int("config: seed", cfg.get("seed", 0), least=None)
         require_int("jobs", getattr(args, "jobs", 1))  # sweep and search only
         out_dir = cfg.get("out_dir", f"runs/{args.command}")
-        code = COMMANDS[args.command](cfg, seed, out_dir, args)
-        files = _build(DatasetSpec, "dataset", cfg["dataset"]).files  # the data files it read
+        code = COMMANDS[args.command](cfg, spec, seed, out_dir, args)
         inputs = {"data": {path: hashlib.sha256(Path(path).read_bytes()).hexdigest()
-                           for path in files}} if files else {}
+                           for path in spec.files}} if spec.files else {}
         if args.command == "analyze":  # and the checkpoint
             inputs.update(checkpoint=args.checkpoint, probe_index=args.probe_index,
                           sha256=hashlib.sha256(Path(args.checkpoint).read_bytes()).hexdigest())

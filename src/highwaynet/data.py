@@ -259,9 +259,10 @@ def synthetic_digits(count: int, seed: int = 0) -> Dataset:
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    """The config's dataset section, checked; load() reads the dataset it names from the paths
-    in files (none for synthetic).  A seed of None is the run's seed, and an empty images or
-    labels path is MNIST's training file of that kind under dir."""
+    """The config's dataset section, checked; load() reads the named dataset from files.  Each
+    name reads seed and subset; synthetic reads count, mnist dir, images and labels (empty: the
+    training file under dir), cifar paths.  A key only another name reads must hold its default
+    (so count 10000 passes on mnist).  A seed of None is the run's seed."""
     name: str = "synthetic"
     seed: int | None = None
     count: int = 10000
@@ -274,6 +275,10 @@ class DatasetSpec:
     def __post_init__(self):
         if self.name not in ("synthetic", "mnist", *CIFAR_VARIANTS):
             raise ValueError(f"unknown dataset name: {self.name!r}")
+        reads = {"synthetic": "count", "mnist": "dir images labels"}.get(self.name, "paths").split()
+        for key in ("count", "dir", "images", "labels", "paths"):
+            if key not in reads and getattr(self, key) != getattr(DatasetSpec, key):
+                raise ValueError(f"{key} is not read by a {self.name!r} dataset")
         require_counts(self, "count")
         if self.seed is not None:
             require_int("seed", self.seed, least=None)

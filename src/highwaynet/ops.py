@@ -47,6 +47,15 @@ def check_paths(**paths) -> None:
             raise TypeError(f"{name} must be a str or os.PathLike path, got {path!r}")
 
 
+def write_csv(path, header, rows) -> None:
+    """The one CSV writer: the header's names, then one line per row, each
+    cell spelled by str, so a float (a numpy scalar too) is its shortest
+    repr and reads back exactly."""
+    check_paths(path=path)
+    with open(path, "w") as f:
+        f.writelines(",".join(map(str, cells)) + "\n" for cells in (header, *rows))
+
+
 def set_blas_threads(count: int) -> dict:
     """Set numpy's OpenBLAS, if a setter is found, to count threads, also for spawned processes;
     return the build's name and version, OpenBLAS core and count in force, None if unknown."""

@@ -9,13 +9,13 @@ propagating NaNs into the log.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
 from .data import Dataset, batches
 from .layers import Network, network_forward_backward
-from .ops import Rng, ShapeError, check_paths, require_counts
+from .ops import Rng, ShapeError, require_counts, write_csv
 
 EVAL_BATCH = 512  # rows per evaluation-only forward
 
@@ -60,11 +60,7 @@ class TrainLog:
         return self.entries[-1].loss if self.entries else float("inf")
 
     def write_csv(self, path) -> None:
-        check_paths(path=path)
-        with open(path, "w") as f:
-            f.write("epoch,loss,accuracy,lr,seconds\n")
-            for e in self.entries:
-                f.write(f"{e.epoch},{e.loss!r},{e.accuracy!r},{e.lr!r},{e.seconds!r}\n")
+        write_csv(path, [f.name for f in fields(EpochStats)], map(astuple, self.entries))
 
 
 def sgd_step(theta, grad, velocity, lr: float, momentum: float) -> None:

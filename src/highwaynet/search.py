@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 from .data import Dataset
 from .init import InitScheme, NetworkTemplate, build_network, init_network
-from .ops import ACTIVATIONS, Rng, check_paths, derive_seed, require_counts, require_int
+from .ops import ACTIVATIONS, Rng, derive_seed, require_counts, require_int, write_csv
 from .optim import SgdConfig, TrainLog, train
 
 
@@ -166,18 +166,16 @@ def run_search(space: SearchSpace, template: NetworkTemplate, dataset: Dataset,
     return results
 
 
-def config_cells(c: TrainConfig) -> str:
-    """The lr0,momentum,decay,activation,gate_bias cells of search.csv and
-    sweep.csv: floats by repr, so they read back exactly; no gate bias is empty."""
-    gate = "" if c.gate_bias is None else repr(c.gate_bias)
-    return f"{c.lr0!r},{c.momentum!r},{c.decay!r},{c.activation},{gate}"
+CONFIG_COLUMNS = ("lr0", "momentum", "decay", "activation", "gate_bias")
+
+
+def config_cells(c: TrainConfig) -> tuple:
+    """The CONFIG_COLUMNS cells of search.csv and sweep.csv; no gate bias is an empty cell."""
+    return c.lr0, c.momentum, c.decay, c.activation, "" if c.gate_bias is None else c.gate_bias
 
 
 def write_search_csv(results: list[TrialResult], path) -> None:
     """Summary CSV: one row per trial in ranked order."""
-    check_paths(path=path)
-    with open(path, "w") as f:
-        f.write("trial,status,lr0,momentum,decay,activation,gate_bias,best_loss,final_loss,seed\n")
-        for r in results:
-            f.write(f"{r.trial},{r.status},{config_cells(r.config)},"
-                    f"{r.best_loss!r},{r.final_loss!r},{r.seed}\n")
+    write_csv(path, ("trial", "status", *CONFIG_COLUMNS, "best_loss", "final_loss", "seed"),
+              [(r.trial, r.status, *config_cells(r.config), r.best_loss, r.final_loss, r.seed)
+               for r in results])

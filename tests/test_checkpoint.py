@@ -103,6 +103,23 @@ BAD_HEADERS = {
     "unknown-entry-key": lambda h: h["params"][0].update(dtype="f4"),
 }
 
+
+def kernels_3x5(path):
+    """Widen body.0's two [2, 2, 3, 3] kernels to [2, 2, 3, 5], blobs included."""
+    rewrite_header(path, lambda h: [e.update(shape=[2, 2, 3, 5]) for e in h["params"]
+                                    if e["name"] in ("body.0.K_H", "body.0.K_T")])
+    path.write_bytes(path.read_bytes() + bytes(8 * 2 * (60 - 36)))  # 24 more values each
+
+
+# (body kind, damage to the saved file, what the CheckpointError says)
+DAMAGED_BYTES = {
+    "magic-plus-2-bytes": ("highway", lambda p: p.write_bytes(p.read_bytes()[:10]),
+                           "truncated checkpoint header"),
+    "header-not-utf8": ("highway", lambda p: p.write_bytes(
+        p.read_bytes()[:12] + b"\xff" + p.read_bytes()[13:]), "unreadable checkpoint header"),
+    "conv-kernels-3x5": ("conv-highway", kernels_3x5, r"\(2, 2, 3, 5\)"),
+}
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
@@ -219,6 +236,15 @@ class TestCorruption:
         save_checkpoint(make_net(), path)
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
         with pytest.raises(CheckpointError, match="8 trailing bytes"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("case", sorted(DAMAGED_BYTES))
+    def test_damaged_bytes_named(self, tmp_path, case):
+        kind, damage, match = DAMAGED_BYTES[case]
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(make_net(kind), path)
+        damage(path)
+        with pytest.raises(CheckpointError, match=match):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("case", sorted(BAD_HEADERS))

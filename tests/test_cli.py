@@ -45,6 +45,7 @@ SEARCH = {"trials": 1, "epochs": 1, "batch_size": 32}
 MALFORMED = {
     "unknown-sgd-key": ("train", "sgd", "lr", {"sgd": {"lr": 1}}),
     "sgd-missing-lr0": ("train", "sgd", "lr0", {"sgd": {"epochs": 1}}),
+    "sgd-lr0-negative": ("train", "sgd", "lr0", {"sgd": {**SGD, "lr0": -0.05}}),
     "init-typo": ("train", "init", "gate_bais", {"init": {"kind": "he", "gate_bais": -3.0}}),
     "init-run-field": ("train", "init", "rng_seed", {"init": {"kind": "he", "rng_seed": 5}}),
     "arch-typo": ("train", "arch", "widht", {"arch": {**HIGHWAY, "widht": 12}}),
@@ -94,6 +95,13 @@ MALFORMED = {
     "cifar-paths-bare-string": ("train", "dataset", "paths",
                                 {"dataset": {"name": "cifar10", "paths": "cifar.bin"}}),
     "dataset-name-unknown": ("train", "dataset", "name", {"dataset": {"name": "imagenet"}}),
+    # a key only another dataset name reads
+    "synthetic-paths": ("train", "dataset", "paths",
+                        {"dataset": {"name": "synthetic", "count": 60, "paths": ["cifar.bin"]}}),
+    "cifar-images": ("train", "dataset", "images",
+                     {"dataset": {"name": "cifar10", "paths": ["cifar.bin"], "images": "i"}}),
+    "mnist-paths": ("train", "dataset", "paths",
+                    {"dataset": {"name": "mnist", "paths": ["cifar.bin"]}}),
     "mnist-labels-int": ("train", "dataset", "labels", {"dataset": {"name": "mnist", "labels": 5}}),
     "dataset-count-bool": ("train", "dataset", "count",
                            {"dataset": {"name": "synthetic", "count": True}}),
@@ -160,6 +168,12 @@ class TestTrain:
         assert code == 2
         assert "nope.json" in capsys.readouterr().err
 
+    def test_config_that_is_not_json(self, tmp_path, capsys):
+        cfg = tmp_path / "notjson.cfg"
+        cfg.write_text("{'dataset': {}}")
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert "notjson.cfg" in capsys.readouterr().err
+
     def test_missing_dataset_path(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json",
                            dataset={"name": "mnist", "dir": str(tmp_path / "absent")},
@@ -204,6 +218,12 @@ class TestTrain:
         cfg = write_config(tmp_path / "c.json", dataset=[1], out_dir=str(tmp_path / "run"))
         assert main(["train", "--config", str(cfg), "--data-dir", str(tmp_path)]) == 2
         assert "dataset" in capsys.readouterr().err
+
+    def test_data_dir_flag_on_a_dataset_that_reads_no_dir(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", out_dir=str(tmp_path / "run"))  # synthetic
+        assert main(["train", "--config", str(cfg), "--data-dir", str(tmp_path)]) == 2
+        assert re.search(r"\bdir\b", capsys.readouterr().err)
+        assert not (tmp_path / "run").exists()
 
     def test_impossible_allocation_exits_2(self, tmp_path, capsys):
         # a 10^12 x 784 float64 matrix is larger than the address space, so
@@ -331,9 +351,9 @@ class TestSweep:
             "depth-repeated", "kind-repeated", "both-repeated"])
     def test_grid_checked_before_the_dataset(self, tmp_path, capsys, monkeypatch,
                                              overrides, named):
-        def no_dataset(cfg, seed):
+        def no_dataset(spec, seed):
             raise AssertionError("the dataset was loaded before the grid was checked")
-        monkeypatch.setattr("highwaynet.cli.load_dataset", no_dataset)
+        monkeypatch.setattr(DatasetSpec, "load", no_dataset)
         cfg = write_config(tmp_path / "c.json", out_dir=str(tmp_path / "sweep"), **overrides)
         assert main(["sweep", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err

@@ -328,6 +328,14 @@ class TestWriterRefusals:
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_feature_count_that_fills_no_image_refused(self, tmp_path, writer):
+        features, write = self.WRITERS[writer]
+        ds = Dataset(np.full((2, features + 1), 0.25), np.array([0, 1]), 10, "wide")
+        with pytest.raises(FormatError, match=f"{features + 1} features do not fill"):
+            write(ds, tmp_path)
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
     def test_pixels_rounded_in_one_float_temporary(self, tmp_path, writer):
         """Scaling to 255 and rounding share one float array the size of the
         inputs; the bytes add an eighth of it, the CIFAR records another."""
@@ -396,7 +404,8 @@ class TestDatasetSpec:
     def test_mnist_files_default_under_dir(self, tmp_path):
         ds = synthetic_digits(16, 5)
         save_idx(ds, tmp_path / "train-images-idx3-ubyte", tmp_path / "train-labels-idx1-ubyte")
-        got = DatasetSpec(name="mnist", dir=str(tmp_path)).load(0)
+        # count, which mnist does not read, passes at its default
+        got = DatasetSpec(name="mnist", dir=str(tmp_path), count=10000).load(0)
         assert got.inputs.tobytes() == ds.inputs.tobytes()
         assert np.array_equal(got.labels, ds.labels)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from highwaynet.data import Dataset, batches
+from highwaynet.data import Dataset, batches, synthetic_digits
 from highwaynet.init import InitScheme, build_network, init_network
 from highwaynet.layers import network_forward_backward
 from highwaynet.ops import Rng, ShapeError
@@ -163,6 +163,21 @@ class TestTrain:
         assert log.diverged
         assert all(np.isfinite(e.loss) for e in log.entries)
         assert log.best_loss() == float("inf") or np.isfinite(log.best_loss())
+
+    def test_divergence_found_by_the_epoch_evaluation(self):
+        """One step per epoch: its loss, from the fresh net, is finite, so only
+        the evaluation after it can find the divergence."""
+        net = build_network("highway", 2, 8, 784, 10, "relu")
+        init_network(net, InitScheme("he", -2.0, 1))
+        _, log = train(net, synthetic_digits(64, 2), SgdConfig(1e300, 0.9, 1.0, 3, 64), Rng(3))
+        assert log.diverged and log.entries == []
+
+    def test_numpy_lr0_is_written_as_a_float(self, toy_two_class, tmp_path):
+        net = build_network("plain", 2, 4, 4, 2, "tanh")
+        init_network(net, InitScheme("he", -1.0, 7))
+        _, log = train(net, toy_two_class, SgdConfig(np.float64(0.05), epochs=1), Rng(8))
+        log.write_csv(tmp_path / "log.csv")
+        assert (tmp_path / "log.csv").read_text().splitlines()[1].split(",")[3] == "0.05"
 
     def test_csv_columns(self, toy_two_class, tmp_path):
         net = build_network("plain", 2, 4, 4, 2, "tanh")

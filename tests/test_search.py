@@ -13,9 +13,12 @@ import pytest
 from highwaynet import search
 from highwaynet.data import Dataset, synthetic_digits
 from highwaynet.ops import Rng, derive_seed
+from highwaynet.optim import TrainLog
 from highwaynet.search import (
     NetworkTemplate,
     SearchSpace,
+    TrainConfig,
+    TrialResult,
     run_search,
     run_trial,
     sample_config,
@@ -299,6 +302,16 @@ class TestRunSearch:
         assert len(lines) == 1 + len(results)
         cells = lines[1].split(",")
         assert float(cells[7]) == results[0].best_loss
+
+    def test_numpy_scalar_cells_read_back(self, tmp_path):
+        """A config drawn by hand from Rng.uniform holds numpy scalars."""
+        lr0, momentum, decay, gate_bias, loss = Rng(4).uniform(size=5)
+        config = TrainConfig(lr0, momentum, decay, activation="tanh", gate_bias=-gate_bias)
+        result = TrialResult(0, config, 9, "ok", loss, loss, TrainLog())
+        write_search_csv([result], tmp_path / "search.csv")
+        cells = (tmp_path / "search.csv").read_text().splitlines()[1].split(",")
+        assert [float(cells[i]) for i in (2, 3, 4, 6, 7, 8)] == [
+            lr0, momentum, decay, -gate_bias, loss, loss]
 
 
 class TestSeedDerivation:
