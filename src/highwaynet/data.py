@@ -261,8 +261,8 @@ def synthetic_digits(count: int, seed: int = 0) -> Dataset:
 class DatasetSpec:
     """The config's dataset section, checked; load() reads the named dataset from files.  Each
     name reads seed and subset; synthetic reads count, mnist dir, images and labels (empty: the
-    training file under dir), cifar paths.  A key only another name reads must hold its default
-    (so count 10000 passes on mnist).  A seed of None is the run's seed."""
+    training file under dir; with both set, dir is not read), cifar paths.  A key it does not
+    read must hold its default (so count 10000 passes on mnist).  A seed of None is the run's."""
     name: str = "synthetic"
     seed: int | None = None
     count: int = 10000
@@ -275,10 +275,11 @@ class DatasetSpec:
     def __post_init__(self):
         if self.name not in ("synthetic", "mnist", *CIFAR_VARIANTS):
             raise ValueError(f"unknown dataset name: {self.name!r}")
-        reads = {"synthetic": "count", "mnist": "dir images labels"}.get(self.name, "paths").split()
+        mnist = "images labels" if self.images and self.labels else "dir images labels"
+        reads = {"synthetic": "count", "mnist": mnist}.get(self.name, "paths").split()
         for key in ("count", "dir", "images", "labels", "paths"):
             if key not in reads and getattr(self, key) != getattr(DatasetSpec, key):
-                raise ValueError(f"{key} is not read by a {self.name!r} dataset")
+                raise ValueError(f"{key} is not read by this {self.name!r} dataset")
         require_counts(self, "count")
         if self.seed is not None:
             require_int("seed", self.seed, least=None)

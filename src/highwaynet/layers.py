@@ -65,6 +65,11 @@ class _Layer:
     def _grads(self, *arrays) -> dict:
         return dict(zip(self.PARAMS, arrays))
 
+    def _views(self, views) -> list:
+        """Where the parameter gradients are written: views, in PARAMS order (the sweep's, from
+        network_forward_backward), or fresh arrays if it is None."""
+        return views or [np.empty_like(p) for _, p in self.parameters()]
+
     def param_grads(self, cache: dict, dL_dy: np.ndarray) -> dict:
         """backward's parameter gradients alone, by _param_step: no dL/dx is computed."""
         return self._param_step(cache, dL_dy)[0]
@@ -110,7 +115,8 @@ class PlainLayer(_Layer):
             raise ShapeError(f"upstream gradient {dL_dy.shape} does not match cache {a.shape}")
         da = activation_derivative(a, self.activation)
         da *= dL_dy
-        return self._grads(matmul(da.T, x), da.sum(axis=0)), da
+        W_H, b_H = self._views(cache.get("grads"))
+        return self._grads(matmul(da.T, x, out=W_H), da.sum(axis=0, out=b_H)), da
 
     def backward(self, cache: dict, dL_dy: np.ndarray):
         grads, da = self._param_step(cache, dL_dy)
@@ -173,7 +179,8 @@ class _GateCore(_Layer):
         ds *= dL_dy
         ds *= t
         ds *= carry
-        return self._grads(*self._map_grads(x, da, ds)), da, ds, carry
+        grads = self._map_grads(x, da, ds, *self._views(cache.get("grads")))
+        return self._grads(*grads), da, ds, carry
 
     def backward(self, cache: dict, dL_dy: np.ndarray):
         grads, da, ds, carry = self._param_step(cache, dL_dy)
@@ -198,8 +205,9 @@ class HighwayLayer(_GateCore):
         s += self.b_T
         return a, s
 
-    def _map_grads(self, x, da, ds):
-        return matmul(da.T, x), da.sum(axis=0), matmul(ds.T, x), ds.sum(axis=0)
+    def _map_grads(self, x, da, ds, W_H, b_H, W_T, b_T):
+        return (matmul(da.T, x, out=W_H), da.sum(axis=0, out=b_H),
+                matmul(ds.T, x, out=W_T), ds.sum(axis=0, out=b_T))
 
     def _adjoint(self, da, ds):
         out = matmul(da, self.W_H)
@@ -278,10 +286,13 @@ class ConvHighwayLayer(_GateCore):
         a, s = self._correlate(x, self.K_H, self.K_T)
         return a + self.b_H[None, :, None, None], s + self.b_T[None, :, None, None]
 
-    def _map_grads(self, x, da, ds):
+    def _map_grads(self, x, da, ds, K_H, b_H, K_T, b_T):
+        """Each kernel gradient is copied into its view: np.einsum(..., out=view)
+        sums in another order and changes its bits."""
         win = self._windows(x)
-        return (np.einsum("boij,bcijuv->ocuv", da, win), da.sum(axis=(0, 2, 3)),
-                np.einsum("boij,bcijuv->ocuv", ds, win), ds.sum(axis=(0, 2, 3)))
+        K_H[...] = np.einsum("boij,bcijuv->ocuv", da, win)
+        K_T[...] = np.einsum("boij,bcijuv->ocuv", ds, win)
+        return K_H, da.sum(axis=(0, 2, 3), out=b_H), K_T, ds.sum(axis=(0, 2, 3), out=b_T)
 
     def _adjoint(self, da, ds):
         """The adjoint of a same-padded stride-1 cross-correlation is another
@@ -331,8 +342,9 @@ class SoftmaxHead(_Layer):
         log_probs = self._log_probs(x)
         return -log_probs[np.arange(x.shape[0]), labels].mean(), np.exp(log_probs)
 
-    def forward_backward(self, x: np.ndarray, labels: np.ndarray):
-        """Returns (loss, probs, dL_dx, grads), loss and probs as loss_probs.
+    def forward_backward(self, x: np.ndarray, labels: np.ndarray, out=None):
+        """Returns (loss, probs, dL_dx, grads), loss and probs as loss_probs;
+        grads are written into out, views of W's and b's shapes, if given.
 
         The logit gradient is (probs - onehot) / batch, pushed back through
         the affine map.
@@ -342,7 +354,8 @@ class SoftmaxHead(_Layer):
         dz = probs.copy()
         dz[np.arange(batch), labels] -= 1.0
         dz /= batch
-        grads = self._grads(matmul(dz.T, x), dz.sum(axis=0))
+        W, b = self._views(out)
+        grads = self._grads(matmul(dz.T, x, out=W), dz.sum(axis=0, out=b))
         dL_dx = matmul(dz, self.W)
         return loss, probs, dL_dx, grads
 
@@ -371,15 +384,13 @@ class Network:
             raise ShapeError(f"{len(tensors)} tensors do not split into a {kind!r} network"
                              + (" with a body layer" if first == 0 else ""))
         shapes = [np.shape(t) for t in tensors]
+        starts = ([0] if first else []) + list(range(first, last, step)) + [last, len(shapes)]
+        self._shapes = [shapes[a:b] for a, b in zip(starts, starts[1:])]
         self.theta = np.concatenate(tensors, axis=None, dtype=np.float64)
-        views, offset = [], 0
-        for shape in shapes:
-            size = math.prod(shape)
-            views.append(self.theta[offset:offset + size].reshape(shape))
-            offset += size
-        self.input_layer = PlainLayer(*views[:first], activation) if first else None
-        self.body = [body_cls(*views[i:i + step], activation) for i in range(first, last, step)]
-        self.head = SoftmaxHead(*views[last:])
+        *views, head = self.split(self.theta)
+        self.input_layer = PlainLayer(*views.pop(0), activation) if first else None
+        self.body = [body_cls(*v, activation) for v in views]
+        self.head = SoftmaxHead(*head)
         # The layers every forward and backward walk, in order; the head is apart.
         self.layers = ([self.input_layer] if first else []) + self.body
         width = self.layers[0].out_width
@@ -437,17 +448,29 @@ class Network:
         """All parameter tensors as (name, view of theta), in forward order."""
         return list(self._parameters)
 
+    def split(self, flat: np.ndarray) -> list:
+        """flat, a vector shaped like theta, cut into one list of views per layer, the head's
+        last, in parameters() order: the layers' tensors of theta, or their gradients."""
+        sizes = [math.prod(shape) for shapes in self._shapes for shape in shapes]
+        parts = iter(np.split(flat, np.cumsum(sizes)[:-1]))
+        return [[next(parts).reshape(shape) for shape in shapes] for shapes in self._shapes]
 
-def network_forward_backward(net: Network, x_batch: np.ndarray, labels: np.ndarray):
+
+def network_forward_backward(net: Network, x_batch: np.ndarray, labels: np.ndarray, out=None):
     """One forward and one reverse sweep; gradients for every parameter.
 
-    Returns (loss, grads): fresh arrays keyed and ordered like net.parameters().
-    The sweep ends at the first layer's parameter gradients: nothing reads
-    the gradient for the input data, so it is never computed.
+    Returns (loss, grads), keyed and ordered like net.parameters().  Each layer
+    writes its gradients into its views in out, net.split of a gradient vector,
+    or of a fresh one, so that no two calls without out share memory.  The
+    sweep ends at the first layer's parameter gradients: nothing reads the
+    gradient for the input data, so it is never computed.
     """
+    *views, head_views = net.split(np.empty_like(net.theta)) if out is None else out
     y, caches = net.forward_caches(x_batch)
-    loss, _, d_flat, head_grads = net.head.forward_backward(net._flatten(y), labels)
+    loss, _, d_flat, head_grads = net.head.forward_backward(net._flatten(y), labels, head_views)
     dL = d_flat.reshape(y.shape)
+    for cache, layer_views in zip(caches, views, strict=True):
+        cache["grads"] = layer_views
     layer_grads = [(net.head, head_grads)]
     first = net.layers[0]
     for layer, cache in zip(net.layers[:0:-1], caches[:0:-1]):

@@ -75,8 +75,9 @@ def set_blas_threads(count: int) -> dict:
     return info
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check.
+def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Matrix product with an explicit inner-dimension check, written into
+    out if given (the bits of a @ b either way).
 
     Delegates to numpy; run-to-run deterministic on a fixed platform.
     """
@@ -86,7 +87,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ShapeError(f"matmul expects 2-d operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    return a @ b
+    return np.matmul(a, b, out=out)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

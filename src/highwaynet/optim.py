@@ -95,17 +95,17 @@ def train(net: Network, ds: Dataset, cfg: SgdConfig, rng: Rng):
     """
     velocity = np.zeros_like(net.theta)
     grad = np.empty_like(net.theta)
+    grad_views = net.split(grad)  # every step's gradients are written into grad
     log = TrainLog()
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for epoch in range(cfg.epochs):
             lr = cfg.lr0 * cfg.decay ** epoch
             started = time.perf_counter()
             for xb, yb in batches(ds, cfg.batch_size, rng):
-                loss, grads = network_forward_backward(net, xb, yb)
+                loss, _ = network_forward_backward(net, xb, yb, out=grad_views)
                 if not np.isfinite(loss):
                     log.diverged = True
                     return net, log
-                np.concatenate(list(grads.values()), axis=None, out=grad)
                 sgd_step(net.theta, grad, velocity, lr, cfg.momentum)
             epoch_loss, epoch_acc = evaluate(net, ds)
             seconds = time.perf_counter() - started

@@ -102,6 +102,9 @@ MALFORMED = {
                      {"dataset": {"name": "cifar10", "paths": ["cifar.bin"], "images": "i"}}),
     "mnist-paths": ("train", "dataset", "paths",
                     {"dataset": {"name": "mnist", "paths": ["cifar.bin"]}}),
+    "mnist-files-and-dir": ("train", "dataset", "dir",
+                            {"dataset": {"name": "mnist", "images": "a.idx3", "labels": "b.idx1",
+                                         "dir": "elsewhere"}}),
     "mnist-labels-int": ("train", "dataset", "labels", {"dataset": {"name": "mnist", "labels": 5}}),
     "dataset-count-bool": ("train", "dataset", "count",
                            {"dataset": {"name": "synthetic", "count": True}}),
@@ -221,6 +224,14 @@ class TestTrain:
 
     def test_data_dir_flag_on_a_dataset_that_reads_no_dir(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", out_dir=str(tmp_path / "run"))  # synthetic
+        assert main(["train", "--config", str(cfg), "--data-dir", str(tmp_path)]) == 2
+        assert re.search(r"\bdir\b", capsys.readouterr().err)
+        assert not (tmp_path / "run").exists()
+
+    def test_data_dir_flag_beside_both_mnist_files(self, tmp_path, capsys):
+        """An mnist section that names both files reads no dir."""
+        cfg = write_config(tmp_path / "c.json", out_dir=str(tmp_path / "run"),
+                           dataset={"name": "mnist", "images": "a.idx3", "labels": "b.idx1"})
         assert main(["train", "--config", str(cfg), "--data-dir", str(tmp_path)]) == 2
         assert re.search(r"\bdir\b", capsys.readouterr().err)
         assert not (tmp_path / "run").exists()

@@ -784,9 +784,9 @@ class TestNetworkSweep:
         net, _ = sweep_net(kind)
         shapes = []
 
-        def counted(a, b):
+        def counted(a, b, out=None):
             shapes.append((a.shape, b.shape))
-            return matmul(a, b)
+            return matmul(a, b, out=out)
 
         monkeypatch.setattr("highwaynet.layers.matmul", counted)
         network_forward_backward(net, Rng(92).normal(size=(64, 30)), Rng(93).integers(5, size=64))
@@ -805,6 +805,54 @@ class TestNetworkSweep:
         network_forward_backward(net, Rng(94).normal(size=(7, *image_shape)),
                                  Rng(95).integers(5, size=7))
         assert calls == net.layers[:0:-1]
+
+
+class TestGradientBuffer:
+    """network_forward_backward writes every gradient into its view of out
+    (net.split of one flat vector) with the bits of a call without out.  A
+    call without out, or a layer's own backward, returns fresh arrays:
+    perfbench's check_model keeps a call's gradients across further calls."""
+
+    @pytest.mark.parametrize("kind", ["plain", "highway", "conv-highway"])
+    def test_views_of_the_buffer_hold_the_bits_of_fresh_gradients(self, kind):
+        net, image_shape = sweep_net(kind)
+        rng = Rng(96)
+        x = rng.normal(size=(16, *(image_shape or (30,))))
+        labels = rng.integers(5, size=16)
+        loss, fresh = network_forward_backward(net, x, labels)
+        buf = np.full_like(net.theta, np.nan)
+        buf_loss, grads = network_forward_backward(net, x, labels, out=net.split(buf))
+        assert np.float64(buf_loss).tobytes() == np.float64(loss).tobytes()
+        assert list(grads) == list(fresh)
+        offset = 0
+        for name, g in grads.items():
+            assert g.base is buf and g.ctypes.data == buf.ctypes.data + 8 * offset, name
+            offset += g.size
+        assert buf.tobytes() == np.concatenate(list(fresh.values()), axis=None).tobytes()
+
+    @pytest.mark.parametrize("kind", ["plain", "highway", "conv-highway"])
+    def test_calls_without_out_share_no_memory(self, kind):
+        net, image_shape = sweep_net(kind)
+        rng = Rng(97)
+        x = rng.normal(size=(7, *(image_shape or (30,))))
+        labels = rng.integers(5, size=7)
+        _, first = network_forward_backward(net, x, labels)
+        _, second = network_forward_backward(net, x, labels)
+        assert not any(np.shares_memory(a, b) for a in first.values()
+                       for b in [*second.values(), net.theta])
+
+    @pytest.mark.parametrize("kind", ["plain", "highway", "conv-highway"])
+    def test_a_layer_called_directly_returns_fresh_arrays(self, kind):
+        net, image_shape = sweep_net(kind)
+        x = Rng(98).normal(size=(7, *(image_shape or (30,))))
+        for layer, sweep_cache in zip(net.layers, net.forward_caches(x)[1]):
+            y, cache = layer.forward(sweep_cache["x"])
+            g = Rng(99).normal(size=y.shape)
+            _, first = layer.backward(cache, g)
+            _, second = layer.backward(cache, g)
+            assert "grads" not in cache
+            assert not any(np.shares_memory(a, b) for a in first.values()
+                           for b in [*second.values(), net.theta])
 
 
 def block_step(c, k, side):

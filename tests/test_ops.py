@@ -29,6 +29,25 @@ class TestMatmul:
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 5\)"):
             matmul(np.zeros((2, 3)), np.zeros((4, 5)))
 
+    # (rows of da, columns of x) of the sweep's weight gradients da.T @ x: the
+    # input layer's at 784 inputs, the gated and plain bodies', and the head's dz.T @ x
+    @pytest.mark.parametrize("rows, cols", [(50, 784), (71, 784), (50, 50), (71, 71),
+                                            (10, 50), (10, 71)])
+    @pytest.mark.parametrize("batch", [1, 7, 16, 64, 512])
+    def test_out_view_keeps_the_bits(self, rows, cols, batch):
+        """A gradient written into a view of a flat vector that starts off a
+        64-byte boundary has the bits of the product and sum made fresh."""
+        rng = Rng(124 + batch)
+        da, x = rng.normal(size=(batch, rows)), rng.normal(size=(batch, cols))
+        flat = np.empty(rows * cols + rows + 8)
+        start = next(i for i in range(1, 8) if (flat.ctypes.data + 8 * i) % 64)
+        weight = flat[start:start + rows * cols].reshape(rows, cols)
+        bias = flat[start + rows * cols:start + rows * cols + rows]
+        assert matmul(da.T, x, out=weight) is weight
+        da.sum(axis=0, out=bias)
+        assert weight.tobytes() == (da.T @ x).tobytes()
+        assert bias.tobytes() == da.sum(axis=0).tobytes()
+
     def test_associativity(self):
         rng = Rng(123)
         for _ in range(10):
