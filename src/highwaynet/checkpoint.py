@@ -17,12 +17,12 @@ The header records the architecture and, per parameter, its name and shape:
    "params": [{"name": "input.W_H", "shape": [50, 784]}, ...]}
 
 Loading rebuilds the network and restores parameters bit-identically:
-Network(body_kind, zeros of the stored shapes, activation) splits the tensors
-into layers, checks that they fit and names them, and the file's header must
-be the bytes save_checkpoint writes for that network, so a load and a save
-keep the file.  Any other header (a missing or unknown key, a wrong JSON type,
-a shape that is not a list of non-negative integers, other spacing, tensors
-that make no network or another one) raises CheckpointError.
+Network(body_kind, zeros of the stored shapes, activation) refuses any shapes
+but those layers.network_shapes gives and names the tensors, and the file's
+header must be the bytes save_checkpoint writes for that network, so a load
+and a save keep the file.  Any other header (a missing or unknown key, a
+wrong JSON type, a shape that is not a list of non-negative integers, other
+spacing, tensors that make no network or another one) raises CheckpointError.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import BODY_KINDS, ConvHighwayLayer, Network
+from .layers import BODY_KINDS, ConvHighwayLayer, Network, network_shapes
 from .ops import Rng, require_counts, require_int
 
 INIT_KINDS = ("he", "glorot")
@@ -84,24 +84,14 @@ def build_network(
     image_shape=None,
     kernel_size: int = 3,
 ) -> Network:
-    """Assemble an uninitialized network of the standard shape.
-
-    Fully-connected kinds ("plain", "highway"): one plain layer mapping
-    in_features -> width, then depth-1 body layers of that width, then the
-    head; depth counts the input layer plus the body.  "conv-highway":
-    depth gated conv layers over image_shape = (c, h, w), head on the
-    flattened final map.  NetworkTemplate checks the arguments.
-    """
+    """An uninitialized network of the layout network_shapes gives: a dense net's depth
+    counts its input layer, and a conv net ("conv-highway") takes its channels from
+    image_shape = (c, h, w).  NetworkTemplate checks the arguments."""
     NetworkTemplate(kind, depth, width, in_features, classes, image_shape=image_shape,
                     kernel_size=kernel_size)
-    if kind == ConvHighwayLayer.KIND:
-        c, h, w = image_shape
-        layers, head_in = [(c, c, kernel_size, kernel_size), (c,)] * 2 * depth, c * h * w
-    else:
-        square = [(width, width), (width,)] * (1 if kind == "plain" else 2)
-        layers, head_in = [(width, in_features), (width,)] + square * (depth - 1), width
-    shapes = layers + [(classes, head_in), (classes,)]
-    return Network(kind, [np.zeros(shape) for shape in shapes], activation)
+    width = image_shape[0] if kind == ConvHighwayLayer.KIND else width
+    shapes = network_shapes(kind, depth, width, in_features, classes, kernel_size)
+    return Network(kind, [np.zeros(shape) for layer in shapes for shape in layer], activation)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ tests/test_layers.py are the arbiter.
 from __future__ import annotations
 
 import math
+from itertools import zip_longest
 
 import numpy as np
 
@@ -50,17 +51,12 @@ class _Layer:
 
     PARAMS: tuple[str, ...] = ()
 
-    def _store(self, arrays, activation=None) -> list:
-        """Keep each tensor as float64 under its PARAMS name and return them;
-        a layer with an activation also checks and keeps its kind."""
-        if activation is not None:
-            if activation not in ACTIVATIONS:
-                raise ValueError(f"unknown activation kind: {activation!r}")
-            self.activation = activation
-        arrays = [np.asarray(value, dtype=np.float64) for value in arrays]
+    def _store(self, arrays, activation=None) -> None:
+        """Keep each tensor as float64 under its PARAMS name, and the activation.  Network
+        checks both; a layer checks neither."""
         for name, value in zip(self.PARAMS, arrays):
-            setattr(self, name, value)
-        return arrays
+            setattr(self, name, np.asarray(value, dtype=np.float64))
+        self.activation = activation
 
     def _grads(self, *arrays) -> dict:
         return dict(zip(self.PARAMS, arrays))
@@ -98,9 +94,7 @@ class PlainLayer(_Layer):
     PARAMS = ("W_H", "b_H")
 
     def __init__(self, W_H: np.ndarray, b_H: np.ndarray, activation: str = "relu"):
-        W_H, b_H = self._store((W_H, b_H), activation)
-        if W_H.ndim != 2 or b_H.ndim != 1 or b_H.shape[0] != W_H.shape[0]:
-            raise ShapeError(f"plain layer shapes disagree: W_H {W_H.shape}, b_H {b_H.shape}")
+        self._store((W_H, b_H), activation)
 
     def forward(self, x: np.ndarray):
         a = matmul(x, self.W_H.T)
@@ -142,23 +136,12 @@ class _GateCore(_Layer):
     take each product in the order written here, in place.  The layer
     supplies adj_H(da) + adj_T(ds) as _adjoint, and turns dL/da and dL/ds
     into its weight and bias gradients in _map_grads.  The carry path is the
-    identity, so both weights are [n, n, ...] (WEIGHT_NDIM dims), both
-    biases [n], and the maps keep the input's width n.
+    identity, so both weights are [n, n, ...], both biases [n], and the maps
+    keep the input's width n: network_shapes writes that layout down.
     """
 
-    WEIGHT_NDIM: int
-
     def __init__(self, W_H, b_H, W_T, b_T, activation: str = "relu"):
-        arrays = W_H, b_H, W_T, b_T = self._store((W_H, b_H, W_T, b_T), activation)
-        n = W_H.shape[0] if W_H.ndim == self.WEIGHT_NDIM else -1
-        if W_H.shape[:2] != (n, n) or W_T.shape != W_H.shape or any(
-            b.shape != (n,) for b in (b_H, b_T)
-        ):
-            raise ShapeError(
-                f"{self.KIND} layer needs two [n, n, ...] weights of {self.WEIGHT_NDIM} dims "
-                "and two [n] biases, got "
-                + ", ".join(f"{name} {a.shape}" for name, a in zip(self.PARAMS, arrays))
-            )
+        self._store((W_H, b_H, W_T, b_T), activation)
 
     def forward(self, x: np.ndarray):
         a, s = self._maps(x)
@@ -195,7 +178,6 @@ class HighwayLayer(_GateCore):
 
     KIND = "highway"
     PARAMS = ("W_H", "b_H", "W_T", "b_T")
-    WEIGHT_NDIM = 2
     # perfbench's tracer wraps each class's own forward and backward.
     forward, backward = _GateCore.forward, _GateCore.backward
 
@@ -225,17 +207,8 @@ class ConvHighwayLayer(_GateCore):
 
     KIND = "conv-highway"
     PARAMS = ("K_H", "b_H", "K_T", "b_T")
-    WEIGHT_NDIM = 4
     # perfbench's tracer wraps each class's own forward and backward.
     forward, backward = _GateCore.forward, _GateCore.backward
-
-    def __init__(self, K_H, b_H, K_T, b_T, activation: str = "relu"):
-        super().__init__(K_H, b_H, K_T, b_T, activation)
-        _, _, k, k_w = self.K_H.shape
-        if k != k_w:
-            raise ShapeError(f"conv kernels must be [c, c, k, k], got {self.K_H.shape}")
-        if k % 2 == 0:
-            raise ValueError(f"kernel_size must be odd for same-size padding, got {k}")
 
     @property
     def channels(self) -> int:
@@ -306,15 +279,31 @@ class ConvHighwayLayer(_GateCore):
 BODY_KINDS = {cls.KIND: cls for cls in (PlainLayer, HighwayLayer, ConvHighwayLayer)}
 
 
+def network_shapes(kind: str, depth: int, width: int, in_features: int, classes: int,
+                   kernel_size: int) -> list:
+    """The one layout table: each layer's tensor shapes, in parameters() order, the head's last.
+
+    A dense net ("plain", "highway") is a plain layer in_features -> width, then depth-1 body
+    layers of width (a gated one keeps its input's size, so its weights are [width, width]),
+    then the head.  A conv net is depth gated layers of width channels and [width, width, k, k]
+    kernels, all of one kernel_size, and a head on the in_features values of the final map.
+    """
+    if kind == ConvHighwayLayer.KIND:
+        kernel = (width, width, kernel_size, kernel_size)
+        layers, head_in = [[kernel, (width,), kernel, (width,)]] * depth, in_features
+    else:
+        square = [(width, width), (width,)] * (len(BODY_KINDS[kind].PARAMS) // 2)
+        layers, head_in = [[(width, in_features), (width,)]] + [square] * (depth - 1), width
+    return layers + [[(classes, head_in), (classes,)]]
+
+
 class SoftmaxHead(_Layer):
     """Affine layer fused with softmax and mean cross-entropy."""
 
     PARAMS = ("W", "b")
 
     def __init__(self, W: np.ndarray, b: np.ndarray):
-        W, b = self._store((W, b))
-        if W.ndim != 2 or b.shape != (W.shape[0],):
-            raise ShapeError(f"softmax head shapes disagree: W {W.shape}, b {b.shape}")
+        self._store((W, b))
 
     @property
     def classes(self) -> int:
@@ -368,41 +357,39 @@ class Network:
     the convention that a "depth d" network is that layer plus d-1 body
     layers (the head is not counted).  Convolutional gated networks have no
     input layer: their body preserves the image shape and the head consumes
-    the flattened final feature map.  Any other dimension change is rejected
-    here at construction.
+    the flattened final feature map.  network_shapes is the one layout: any
+    other list of tensors is refused here at construction.
     """
 
     def __init__(self, kind: str, tensors, activation: str = "relu"):
         """tensors, in parameters() order, are copied into theta; each layer
-        holds views of theta, handed out by its class's PARAMS count."""
+        holds views of theta, cut by its network_shapes list."""
         if kind not in BODY_KINDS:
             raise ValueError(f"unknown network kind: {kind!r}")
-        body_cls = BODY_KINDS[kind]
-        first = 0 if body_cls is ConvHighwayLayer else len(PlainLayer.PARAMS)
-        last, step = len(tensors) - len(SoftmaxHead.PARAMS), len(body_cls.PARAMS)
-        if last < first or (last - first) % step or last == first == 0:
-            raise ShapeError(f"{len(tensors)} tensors do not split into a {kind!r} network"
-                             + (" with a body layer" if first == 0 else ""))
+        if activation not in ACTIVATIONS:
+            raise ValueError(f"unknown activation kind: {activation!r}")
+        # The free sizes are read from the first tensor, the head's weight and the count;
+        # network_shapes then fixes every other one.
+        conv, step = kind == ConvHighwayLayer.KIND, len(BODY_KINDS[kind].PARAMS)
         shapes = [np.shape(t) for t in tensors]
-        starts = ([0] if first else []) + list(range(first, last, step)) + [last, len(shapes)]
-        self._shapes = [shapes[a:b] for a, b in zip(starts, starts[1:])]
+        first, head_w = ([*(shapes[i] if len(shapes) > 1 else ()), 0, 0, 0] for i in (0, -2))
+        depth = max(1, (len(shapes) - 2) // step if conv else (len(shapes) - 4) // step + 1)
+        self._shapes = network_shapes(kind, depth, first[0], head_w[1] if conv else first[1],
+                                      head_w[0], first[2])
+        want = [shape for layer in self._shapes for shape in layer]
+        for i, (found, wanted) in enumerate(zip_longest(shapes, want, fillvalue="none")):
+            if found != wanted:
+                raise ShapeError(f"{kind!r} network tensor {i}: shape {found}, wanted {wanted}")
+        if conv and first[2] % 2 == 0:
+            raise ValueError(f"kernel_size must be odd for same-size padding, got {first[2]}")
         self.theta = np.concatenate(tensors, axis=None, dtype=np.float64)
         *views, head = self.split(self.theta)
-        self.input_layer = PlainLayer(*views.pop(0), activation) if first else None
-        self.body = [body_cls(*v, activation) for v in views]
+        self.input_layer = None if conv else PlainLayer(*views.pop(0), activation)
+        self.body = [BODY_KINDS[kind](*v, activation) for v in views]
         self.head = SoftmaxHead(*head)
         # The layers every forward and backward walk, in order; the head is apart.
-        self.layers = ([self.input_layer] if first else []) + self.body
-        width = self.layers[0].out_width
-        for i, layer in enumerate(self.body):
-            if layer.in_width != width or layer.out_width != width:
-                raise ShapeError(
-                    f"body layer {i} width {layer.in_width}x{layer.out_width} "
-                    f"breaks the chain at width {width}"
-                )
-        if not self.is_conv and self.head.in_width != width:
-            raise ShapeError(f"head expects width {width}, has {self.head.in_width}")
-        prefixes = (["input"] if first else []) + [f"body.{i}" for i in range(len(self.body))]
+        self.layers = ([] if conv else [self.input_layer]) + self.body
+        prefixes = ([] if conv else ["input"]) + [f"body.{i}" for i in range(len(self.body))]
         self._parameters = [(f"{prefix}.{n}", p)
                             for prefix, layer in zip([*prefixes, "head"], (*self.layers, self.head))
                             for n, p in layer.parameters()]

@@ -30,6 +30,9 @@ class SgdConfig:
 
     def __post_init__(self):
         require_counts(self, "epochs", "batch_size")
+        for name in ("lr0", "momentum", "decay"):  # a bool compares as 0 or 1
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         # lr0 == 0 is allowed as the null update; useful in tests
         if not self.lr0 >= 0:
             raise ValueError(f"lr0 must be non-negative, got {self.lr0}")

@@ -46,6 +46,7 @@ MALFORMED = {
     "unknown-sgd-key": ("train", "sgd", "lr", {"sgd": {"lr": 1}}),
     "sgd-missing-lr0": ("train", "sgd", "lr0", {"sgd": {"epochs": 1}}),
     "sgd-lr0-negative": ("train", "sgd", "lr0", {"sgd": {**SGD, "lr0": -0.05}}),
+    "sgd-lr0-true": ("train", "sgd", "lr0", {"sgd": {**SGD, "lr0": True}}),
     "init-typo": ("train", "init", "gate_bais", {"init": {"kind": "he", "gate_bais": -3.0}}),
     "init-run-field": ("train", "init", "rng_seed", {"init": {"kind": "he", "rng_seed": 5}}),
     "arch-typo": ("train", "arch", "widht", {"arch": {**HIGHWAY, "widht": 12}}),
@@ -88,6 +89,8 @@ MALFORMED = {
                          {"search": {**SEARCH, "decay": [0.0, 1.0]}, "depths": [1]}),
     "search-range-strings": ("search", "search", "momentum",
                              {"search": {**SEARCH, "momentum": ["a", "b"]}}),
+    "search-momentum-false": ("search", "search", "momentum",
+                              {"search": {**SEARCH, "momentum": [False, 0.9]}}),
     "mnist-dir-int": ("train", "dataset", "dir", {"dataset": {"name": "mnist", "dir": 5}}),
     "mnist-images-list": ("train", "dataset", "images",
                           {"dataset": {"name": "mnist", "images": ["x"]}}),

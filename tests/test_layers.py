@@ -1,9 +1,12 @@
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradcheck import (
     check_layer_gradients,
@@ -15,6 +18,7 @@ from highwaynet import checkpoint, init, search
 from highwaynet.init import InitScheme, build_network, init_network
 from highwaynet.layers import (
     _BLOCK_MACS,
+    BODY_KINDS,
     ConvHighwayLayer,
     HighwayLayer,
     Network,
@@ -23,6 +27,7 @@ from highwaynet.layers import (
     block_combine,
     count_parameters,
     network_forward_backward,
+    network_shapes,
 )
 from highwaynet.ops import (
     Rng,
@@ -149,8 +154,10 @@ class TestHighwayForward:
         assert sorted(cache) == ["a", "h", "t", "x"]
 
     def test_width_disagreement_rejected(self):
-        with pytest.raises(ShapeError):
-            HighwayLayer(np.zeros((3, 3)), np.zeros(3), np.zeros((3, 3)), np.zeros(2))
+        with pytest.raises(ShapeError, match=r"tensor 5: shape \(2,\), wanted \(3,\)"):
+            Network("highway", [np.zeros((3, 4)), np.zeros(3),
+                                np.zeros((3, 3)), np.zeros(3), np.zeros((3, 3)), np.zeros(2),
+                                np.zeros((2, 3)), np.zeros(2)])
 
 
 class TestHighwayBackward:
@@ -233,9 +240,10 @@ class TestConvHighway:
         assert y.shape == (3, 2, 7, 7)
 
     def test_even_kernel_rejected(self):
-        with pytest.raises(ValueError, match="odd"):
-            ConvHighwayLayer(np.zeros((2, 2, 4, 4)), np.zeros(2),
-                             np.zeros((2, 2, 4, 4)), np.zeros(2))
+        with pytest.raises(ValueError, match="must be odd"):
+            Network("conv-highway", [np.zeros((2, 2, 4, 4)), np.zeros(2),
+                                     np.zeros((2, 2, 4, 4)), np.zeros(2),
+                                     np.zeros((2, 50)), np.zeros(2)])
 
     def test_channel_mismatch_rejected(self):
         layer = ConvHighwayLayer(np.zeros((2, 2, 3, 3)), np.zeros(2),
@@ -690,20 +698,25 @@ class TestNetwork:
         with pytest.raises(ValueError, match="unknown network kind: 'residual'"):
             Network("residual", [np.zeros((2, 3)), np.zeros(2), np.zeros((2, 2)), np.zeros(2)])
 
-    # (kind, tensor shapes): counts that leave a partial layer, or give a conv net no body layer
+    # (kind, tensor shapes, the first tensor that differs from network_shapes): counts that
+    # leave a partial layer, or give a conv net no body layer
     UNSPLIT = {
-        "highway-partial-body": ("highway", [(2, 3), (2,), (2, 2), (2,), (2, 2), (2,)]),
-        "plain-no-head": ("plain", [(2, 3), (2,), (2, 2)]),
-        "highway-nothing": ("highway", []),
-        "conv-partial-body": ("conv-highway", [(2, 2, 3, 3), (2,), (2, 2, 3, 3), (2, 18), (2,)]),
-        "conv-no-body": ("conv-highway", [(2, 18), (2,)]),
-        "conv-head-only-weight": ("conv-highway", [(2, 18)]),
+        "highway-partial-body": ("highway", [(2, 3), (2,), (2, 2), (2,), (2, 2), (2,)],
+                                 "tensor 4: shape (2, 2), wanted none"),
+        "plain-no-head": ("plain", [(2, 3), (2,), (2, 2)], "tensor 3: shape none, wanted (2,)"),
+        "highway-nothing": ("highway", [], "tensor 0: shape none, wanted (0, 0)"),
+        "conv-partial-body": ("conv-highway", [(2, 2, 3, 3), (2,), (2, 2, 3, 3), (2, 18), (2,)],
+                              "tensor 3: shape (2, 18), wanted (2,)"),
+        "conv-no-body": ("conv-highway", [(2, 18), (2,)],
+                         "tensor 0: shape (2, 18), wanted (2, 2, 0, 0)"),
+        "conv-head-only-weight": ("conv-highway", [(2, 18)],
+                                  "tensor 0: shape (2, 18), wanted (0, 0, 0, 0)"),
     }
 
     @pytest.mark.parametrize("case", sorted(UNSPLIT))
     def test_tensor_count_that_does_not_split_refused(self, case):
-        kind, shapes = self.UNSPLIT[case]
-        with pytest.raises(ShapeError, match=f"{len(shapes)} tensors do not split into a '{kind}'"):
+        kind, shapes, differs = self.UNSPLIT[case]
+        with pytest.raises(ShapeError, match=re.escape(f"'{kind}' network {differs}")):
             Network(kind, [np.zeros(shape) for shape in shapes])
 
     def test_callers_arrays_are_copied(self, small_net):
@@ -721,18 +734,56 @@ class TestNetwork:
             assert not np.shares_memory(tensor, built.theta) and p.base is built.theta
 
     def test_width_break_rejected(self):
-        with pytest.raises(ShapeError, match="body layer 0 width 3x2 breaks the chain at width 3"):
+        with pytest.raises(ShapeError, match=r"tensor 2: shape \(2, 3\), wanted \(3, 3\)"):
             Network("plain", [np.zeros((3, 4)), np.zeros(3), np.zeros((2, 3)), np.zeros(2),
                               np.zeros((2, 2)), np.zeros(2)])
 
     def test_head_width_rejected(self):
-        with pytest.raises(ShapeError, match="head expects width 3, has 2"):
+        with pytest.raises(ShapeError, match=r"tensor 2: shape \(2, 2\), wanted \(2, 3\)"):
             Network("highway", [np.zeros((3, 4)), np.zeros(3), np.zeros((2, 2)), np.zeros(2)])
 
     def test_conv_channel_break_rejected(self):
         conv = lambda c: [np.zeros((c, c, 3, 3)), np.zeros(c)] * 2
-        with pytest.raises(ShapeError, match="body layer 1 width 3x3 breaks the chain at width 2"):
+        with pytest.raises(ShapeError,
+                           match=r"tensor 4: shape \(3, 3, 3, 3\), wanted \(2, 2, 3, 3\)"):
             Network("conv-highway", conv(2) + conv(3) + [np.zeros((2, 27)), np.zeros(2)])
+
+
+class TestShapeTable:
+    """network_shapes is the one layout: each list it gives builds a network of exactly those
+    shapes, and any list one tensor away from it is refused.  The two free sizes, a dense
+    net's input features and a conv head's input width, are the only exceptions."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(kind=st.sampled_from(sorted(BODY_KINDS)), depth=st.integers(1, 4),
+           sizes=st.tuples(*[st.integers(1, 5)] * 3), kernel_size=st.sampled_from([1, 3, 5]),
+           extra=st.lists(st.integers(1, 5), min_size=1, max_size=4).map(tuple))
+    def test_only_the_table_builds(self, kind, depth, sizes, kernel_size, extra):
+        shapes = [shape for layer in network_shapes(kind, depth, *sizes, kernel_size)
+                  for shape in layer]
+        net = Network(kind, [np.zeros(shape) for shape in shapes])
+        assert [p.shape for _, p in net.parameters()] == shapes
+        free = (len(shapes) - 2, 1) if kind == ConvHighwayLayer.KIND else (0, 1)
+        for i, shape in enumerate(shapes):
+            mutants = [shapes[:i] + shapes[i + 1:], shapes[:i] + [extra] + shapes[i:]]
+            for dim in range(len(shape)):
+                grown = shape[:dim] + (shape[dim] + 1,) + shape[dim + 1:]
+                mutant = shapes[:i] + [grown] + shapes[i + 1:]
+                if (i, dim) == free:
+                    net = Network(kind, [np.zeros(s) for s in mutant])
+                    assert [p.shape for _, p in net.parameters()] == mutant
+                else:
+                    mutants.append(mutant)
+            for mutant in mutants:
+                with pytest.raises(ShapeError, match=f"'{kind}' network tensor"):
+                    Network(kind, [np.zeros(s) for s in mutant])
+
+    def test_mixed_kernel_sizes_refused(self):
+        """Each gated conv layer would run its own kernel, but the layout has one kernel size."""
+        conv = lambda k: [np.zeros((2, 2, k, k)), np.zeros(2)] * 2
+        with pytest.raises(ShapeError,
+                           match=r"tensor 4: shape \(2, 2, 5, 5\), wanted \(2, 2, 3, 3\)"):
+            Network("conv-highway", conv(3) + conv(5) + [np.zeros((3, 50)), np.zeros(3)])
 
 
 def reference_sweep(net, x, labels):

@@ -75,6 +75,13 @@ class TestSgdConfig:
     def test_numpy_integers_pass(self):
         assert SgdConfig(0.1, epochs=np.int64(2), batch_size=np.int32(8)).epochs == 2
 
+    @pytest.mark.parametrize("field", ["lr0", "momentum", "decay"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_rates_refuse_a_bool(self, field, value):
+        """True and False compare as 1 and 0, inside every range but decay's False."""
+        with pytest.raises(ValueError, match=f"{field} must be a number, got {value}"):
+            SgdConfig(**{"lr0": 0.1, field: value})
+
 
 def cached_evaluate(net, ds: Dataset, batch_size: int):
     """evaluate through the training forward: every layer cache kept and the

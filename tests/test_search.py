@@ -96,6 +96,12 @@ class TestFieldChecks:
         with pytest.raises(ValueError, match=field):
             NetworkTemplate(**{**args, field: value})
 
+    @pytest.mark.parametrize("field, bounds", [("lr0", (True, True)), ("momentum", (False, 0.9)),
+                                               ("decay", (0.9, True)), ("gate_bias", (-3.0, False))])
+    def test_range_ends_refuse_a_bool(self, field, bounds):
+        with pytest.raises(ValueError, match=field):
+            SearchSpace(**{field: bounds})
+
     def test_numpy_integers_pass(self):
         SearchSpace(trials=np.int64(2), epochs=np.int32(1), batch_size=np.int64(8))
         NetworkTemplate("highway", np.int64(3), np.int64(12), 784, 10, kernel_size=np.int64(3))
