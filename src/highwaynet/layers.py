@@ -47,6 +47,7 @@ class _Layer:
 
     Each layer class lists its parameter names once, in order, in PARAMS;
     parameters(), gradient dicts, init and checkpoints all read that tuple.
+    backward(cache, dL_dy) returns (dL_dx, grads); dL_dx is None if cache["dx"] is False.
     """
 
     PARAMS: tuple[str, ...] = ()
@@ -65,10 +66,6 @@ class _Layer:
         """Where the parameter gradients are written: views, in PARAMS order (the sweep's, from
         network_forward_backward), or fresh arrays if it is None."""
         return views or [np.empty_like(p) for _, p in self.parameters()]
-
-    def param_grads(self, cache: dict, dL_dy: np.ndarray) -> dict:
-        """backward's parameter gradients alone, by _param_step: no dL/dx is computed."""
-        return self._param_step(cache, dL_dy)[0]
 
     def parameters(self):
         return [(name, getattr(self, name)) for name in self.PARAMS]
@@ -102,19 +99,15 @@ class PlainLayer(_Layer):
         y = apply_activation(a, self.activation)
         return y, {"x": x, "a": a}
 
-    def _param_step(self, cache: dict, dL_dy: np.ndarray):
-        """(parameter gradients, dL/da), for backward and param_grads."""
+    def backward(self, cache: dict, dL_dy: np.ndarray):
         x, a = cache["x"], cache["a"]
         if dL_dy.shape != a.shape:
             raise ShapeError(f"upstream gradient {dL_dy.shape} does not match cache {a.shape}")
         da = activation_derivative(a, self.activation)
         da *= dL_dy
         W_H, b_H = self._views(cache.get("grads"))
-        return self._grads(matmul(da.T, x, out=W_H), da.sum(axis=0, out=b_H)), da
-
-    def backward(self, cache: dict, dL_dy: np.ndarray):
-        grads, da = self._param_step(cache, dL_dy)
-        return matmul(da, self.W_H), grads
+        grads = self._grads(matmul(da.T, x, out=W_H), da.sum(axis=0, out=b_H))
+        return (matmul(da, self.W_H) if cache.get("dx", True) else None), grads
 
 
 class _GateCore(_Layer):
@@ -150,8 +143,7 @@ class _GateCore(_Layer):
         y = block_combine(h, t, x)
         return y, {"x": x, "a": a, "h": h, "t": t}
 
-    def _param_step(self, cache: dict, dL_dy: np.ndarray):
-        """(parameter gradients, dL/da, dL/ds, 1-t), for backward and param_grads."""
+    def backward(self, cache: dict, dL_dy: np.ndarray):
         x, a, h, t = cache["x"], cache["a"], cache["h"], cache["t"]
         if dL_dy.shape != x.shape:
             raise ShapeError(f"upstream gradient {dL_dy.shape} does not match cache {x.shape}")
@@ -162,11 +154,9 @@ class _GateCore(_Layer):
         ds *= dL_dy
         ds *= t
         ds *= carry
-        grads = self._map_grads(x, da, ds, *self._views(cache.get("grads")))
-        return self._grads(*grads), da, ds, carry
-
-    def backward(self, cache: dict, dL_dy: np.ndarray):
-        grads, da, ds, carry = self._param_step(cache, dL_dy)
+        grads = self._grads(*self._map_grads(x, da, ds, *self._views(cache.get("grads"))))
+        if not cache.get("dx", True):
+            return None, grads
         dL_dx = self._adjoint(da, ds)
         carry *= dL_dy
         dL_dx += carry
@@ -448,9 +438,9 @@ def network_forward_backward(net: Network, x_batch: np.ndarray, labels: np.ndarr
 
     Returns (loss, grads), keyed and ordered like net.parameters().  Each layer
     writes its gradients into its views in out, net.split of a gradient vector,
-    or of a fresh one, so that no two calls without out share memory.  The
-    sweep ends at the first layer's parameter gradients: nothing reads the
-    gradient for the input data, so it is never computed.
+    or of a fresh one, so that no two calls without out share memory.  Every
+    layer's backward runs once, the last first.  The first one's cache has dx
+    False, so the gradient for the input data, which nothing reads, is not made.
     """
     *views, head_views = net.split(np.empty_like(net.theta)) if out is None else out
     y, caches = net.forward_caches(x_batch)
@@ -458,12 +448,11 @@ def network_forward_backward(net: Network, x_batch: np.ndarray, labels: np.ndarr
     dL = d_flat.reshape(y.shape)
     for cache, layer_views in zip(caches, views, strict=True):
         cache["grads"] = layer_views
+    caches[0]["dx"] = False
     layer_grads = [(net.head, head_grads)]
-    first = net.layers[0]
-    for layer, cache in zip(net.layers[:0:-1], caches[:0:-1]):
+    for layer, cache in zip(net.layers[::-1], caches[::-1]):
         dL, grads = layer.backward(cache, dL)
         layer_grads.append((layer, grads))
-    layer_grads.append((first, first.param_grads(caches[0], dL)))
     tensors = (grads[n] for layer, grads in reversed(layer_grads) for n in layer.PARAMS)
     return loss, {name: g for (name, _), g in zip(net._parameters, tensors, strict=True)}
 

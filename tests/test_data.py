@@ -449,6 +449,14 @@ class TestSubsetAndBatches:
         b = subset(ds, 15, Rng(9))
         assert np.array_equal(a.inputs, b.inputs) and np.array_equal(a.labels, b.labels)
 
+    def test_subset_keeps_the_draw_order(self):
+        """The rows come in the order the permutation draws them, not sorted."""
+        ds = synthetic_digits(40, seed=3)
+        idx = Rng(9).permutation(ds.count)[:15]
+        sub = subset(ds, 15, Rng(9))
+        assert np.array_equal(sub.stored, ds.stored[idx])
+        assert np.array_equal(sub.labels, ds.labels[idx])
+
     def test_batches_partition_dataset(self):
         ds = synthetic_digits(53, seed=4)
         sizes = [xb.shape[0] for xb, _ in batches(ds, 8, Rng(1))]

@@ -365,8 +365,8 @@ def assert_same_bits_as(reference, layer, x, rng):
     dL_dx, grads = layer.backward(cache, g)
     ref_y, ref_cache, ref_dx, ref_grads = reference(layer, x, g)
     assert sorted(cache) == sorted(ref_cache)
-    param_grads = layer.param_grads(cache, g)
-    assert list(param_grads) == list(grads)
+    no_dx, param_grads = layer.backward({**cache, "dx": False}, g)
+    assert no_dx is None and list(param_grads) == list(grads)
     pairs = [(y, ref_y), (dL_dx, ref_dx), *((cache[k], ref_cache[k]) for k in ref_cache),
              *zip(grads.values(), ref_grads, strict=True),
              *zip(param_grads.values(), ref_grads, strict=True)]
@@ -842,6 +842,41 @@ class TestNetworkSweep:
         monkeypatch.setattr("highwaynet.layers.matmul", counted)
         network_forward_backward(net, Rng(92).normal(size=(64, 30)), Rng(93).integers(5, size=64))
         assert sum(30 in a + b for a, b in shapes) == 2
+
+    @pytest.mark.parametrize("kind", ["plain", "highway", "conv-highway"])
+    def test_every_layer_runs_backward_once(self, kind, monkeypatch):
+        """Each layer class's backward, wrapped the way perfbench's tracer and
+        its patched backward wrap it, sees every layer once, the first included."""
+        net, image_shape = sweep_net(kind, depth=3)
+        calls = []
+
+        def counting(backward):
+            def counted(self, cache, dL_dy):
+                calls.append(self)
+                return backward(self, cache, dL_dy)
+            return counted
+
+        for cls in BODY_KINDS.values():
+            monkeypatch.setattr(cls, "backward", counting(cls.backward))
+        network_forward_backward(net, Rng(100).normal(size=(7, *(image_shape or (30,)))),
+                                 Rng(101).integers(5, size=7))
+        assert calls == net.layers[::-1]
+
+    @pytest.mark.parametrize("kind", ["plain", "highway"])
+    def test_a_patched_backward_reaches_the_input_layer(self, kind, monkeypatch):
+        """The returned gradients are the ones backward returns, the input layer's too."""
+        net, _ = sweep_net(kind, depth=3)
+        x, labels = Rng(102).normal(size=(7, 30)), Rng(103).integers(5, size=7)
+        want = network_forward_backward(net, x, labels)[1]["input.b_H"] * 1.001
+        backward = PlainLayer.backward
+
+        def off_by_a_little(self, cache, dL_dy):
+            dL_dx, grads = backward(self, cache, dL_dy)
+            return dL_dx, {**grads, "b_H": grads["b_H"] * 1.001}
+
+        monkeypatch.setattr(PlainLayer, "backward", off_by_a_little)
+        _, grads = network_forward_backward(net, x, labels)
+        assert grads["input.b_H"].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("depth", [1, 3])
     def test_conv_net_skips_the_first_adjoint(self, depth, monkeypatch):

@@ -209,6 +209,19 @@ class TestRunSearch:
         statuses = [r.status for r in results]
         assert statuses == sorted(statuses, key=lambda s: s != "ok")
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_diverged_trials_rank_by_trial_index(self, tiny_dataset, monkeypatch, forked, jobs):
+        """Every trial diverges, so every best loss is inf and the trial index
+        alone orders them.  Each fake run takes 0.05 s, so a helper claims some."""
+        def diverged(template, dataset, config, seed):
+            time.sleep(0.05)
+            return None, TrainLog(diverged=True)
+
+        monkeypatch.setattr(search, "fit", diverged)
+        results = run_search(SearchSpace(trials=6, epochs=1), TEMPLATE, tiny_dataset, 5, jobs)
+        assert [r.status for r in results] == ["diverged"] * 6
+        assert [r.trial for r in results] == list(range(6))
+
     def test_parallel_search_ships_dataset_once_per_worker(self, tiny_dataset):
         PickleCountingDataset.pickles = 0
         ds = PickleCountingDataset(tiny_dataset.inputs, tiny_dataset.labels,

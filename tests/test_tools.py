@@ -1,10 +1,13 @@
 """tools/bench_pairs.py's summary: the pair counts, medians and quartiles a
-benchmark file reports for one metric.  Nothing is run."""
+benchmark file reports for one metric, and the BLAS block it records.  No
+benchmark is run."""
 
 import importlib.util
 import os
 
 import pytest
+
+from highwaynet import ops
 
 TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools",
                     "bench_pairs.py")
@@ -35,3 +38,9 @@ def test_quartiles_are_inclusive_and_interpolated():
     assert s["parent_quartiles"] == pytest.approx([1.75, 5.0])
     assert s["parent_median"] == 3.0
     assert s["change_quartiles"] == [3.0, 3.0] and s["change_median"] == 3.0
+
+
+def test_blas_reports_what_the_library_reports_in_process():
+    """A fresh process on this tree's sources names the same build, core and
+    thread count as ops.set_blas_threads(1) here (the test session runs at 1)."""
+    assert bench_pairs.blas(bench_pairs.ROOT) == ops.set_blas_threads(1)

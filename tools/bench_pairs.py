@@ -17,7 +17,9 @@ The output has BENCH_25.json's schema: for each workload and end-to-end
 metric of BENCHMARK.json, both sides' runs in pair order, their medians and
 quartiles (linear interpolation) and the number of pairs the working tree
 won (a tie counts for neither side), and whether every run passed all of
-its checks.  Standard library only.
+its checks.  host.blas names each side's BLAS build, OpenBLAS core and
+thread count, as its own `ops.set_blas_threads(1)` reports them, since the
+core sets a GEMM's bits.  Standard library only.
 """
 
 from __future__ import annotations
@@ -48,6 +50,14 @@ def export(rev: str, into: str) -> str:
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(into, filter="data")
     return short
+
+
+def blas(root: str) -> dict:
+    """What `highwaynet.ops.set_blas_threads(1)` returns in a fresh process on root's sources."""
+    code = "import json; from highwaynet import ops; print(json.dumps(ops.set_blas_threads(1)))"
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+    return json.loads(subprocess.run([sys.executable, "-c", code], cwd=root, env=env, check=True,
+                                     capture_output=True, text=True).stdout)
 
 
 def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
@@ -108,6 +118,7 @@ def main(argv=None) -> int:
     try:
         parent_root = os.path.join(tmp, "parent")
         short = export(args.parent, parent_root)
+        host_blas = {"parent": blas(parent_root), "change": blas(ROOT)}
         runs = {w: {"parent": [], "change": []} for w in args.workload or names}
         for workload, sides in runs.items():
             for i in range(args.pairs):
@@ -129,7 +140,7 @@ def main(argv=None) -> int:
         "seeds": f"{args.seed_base}-{args.seed_base + args.pairs - 1} for every workload, "
                  "the parent first in even pairs",
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
-                 "env": next(iter(runs.values()))["change"][0]["env"]},
+                 "env": next(iter(runs.values()))["change"][0]["env"], "blas": host_blas},
         "workloads": {},
     }
     for workload, sides in runs.items():
