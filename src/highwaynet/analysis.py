@@ -47,8 +47,6 @@ def gate_report(net: Network, samples: Dataset, probe_index: int = 0) -> GateRep
         raise AnalysisError(
             f"gate analysis needs a dense gated body, network has {net.body_kind!r}"
         )
-    if samples.count == 0:
-        raise ValueError("empty sample set")
     if not 0 <= probe_index < samples.count:
         raise ValueError(f"probe index {probe_index} outside [0, {samples.count})")
 
@@ -70,7 +68,7 @@ def gate_report(net: Network, samples: Dataset, probe_index: int = 0) -> GateRep
     sample_trace = np.stack([cache["t"][0] for cache in body_caches])
     block_outputs = np.stack([cache["x"][0] for cache in body_caches[1:]] + [y[0]])
 
-    bias_map = np.stack([layer.b_T.copy() for layer in net.body])
+    bias_map = np.stack([layer.b_T for layer in net.body])
     return GateReport(bias_map, mean_activity, sample_trace, block_outputs, used)
 
 

@@ -188,8 +188,8 @@ def save_cifar_binary(ds: Dataset, path, variant: str = "cifar10") -> None:
 
 
 def subset(ds: Dataset, n: int, rng: Rng) -> Dataset:
-    """Uniform sample of n examples without replacement."""
-    if n > ds.count:
+    """Uniform sample of n examples without replacement, n an integer in [0, ds.count]."""
+    if require_int("n", n, least=0) > ds.count:
         raise ValueError(f"cannot take {n} of {ds.count} examples")
     idx = rng.permutation(ds.count)[:n]
     return Dataset(ds.stored[idx], ds.labels[idx], ds.num_classes, ds.name)

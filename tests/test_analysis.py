@@ -135,6 +135,13 @@ class TestGateReport:
         with pytest.raises(ValueError, match="probe"):
             gate_report(net, centered_inputs(5, 6, 11), probe_index=5)
 
+    @pytest.mark.parametrize("probe_index", [0, -1])
+    def test_empty_sample_set_refused(self, probe_index):
+        """No probe index lies in [0, 0), so the probe check refuses it."""
+        net = fresh_highway(depth=3, width=6)
+        with pytest.raises(ValueError, match=r"outside \[0, 0\)"):
+            gate_report(net, centered_inputs(0, 6, 11), probe_index=probe_index)
+
 
 class TestGateSparsity:
     def make_report(self, activity):
@@ -201,6 +208,12 @@ class TestExport:
                               report.mean_activity)
         assert np.array_equal(load_matrix_csv(tmp_path / "block_outputs.csv"),
                               report.block_outputs)
+
+    def test_unwritable_table_names_its_path(self, tmp_path):
+        report = gate_report(fresh_highway(depth=3, width=4), centered_inputs(3, 4, 17))
+        (tmp_path / "bias_map.csv").mkdir()
+        with pytest.raises(OSError, match=r"could not write .*bias_map\.csv"):
+            export_report(report, tmp_path)
 
     def test_empty_file_refused(self, tmp_path):
         path = tmp_path / "mean_activity.csv"

@@ -26,14 +26,20 @@ def read_header(path) -> dict:
     return json.loads(raw[12:12 + n])
 
 
-def rewrite_header(path, edit):
-    """Apply edit(header) to a saved checkpoint's JSON header in place."""
+def replace_header(path, make):
+    """Write make(header) in place of a saved checkpoint's JSON header."""
     raw = path.read_bytes()
     (n,) = struct.unpack("<I", raw[8:12])
-    header = json.loads(raw[12:12 + n])
-    edit(header)
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    blob = json.dumps(make(json.loads(raw[12:12 + n])), sort_keys=True).encode("utf-8")
     path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + n:])
+
+
+def rewrite_header(path, edit):
+    """Apply edit(header) to a saved checkpoint's JSON header in place."""
+    def make(header):
+        edit(header)
+        return header
+    replace_header(path, make)
 
 
 def rewrite_layout(path, edit):
@@ -101,6 +107,19 @@ BAD_HEADERS = {
     "boolean-format": lambda h: h.update(format=True),
     "unknown-key": lambda h: h.update(comment="x"),
     "unknown-entry-key": lambda h: h["params"][0].update(dtype="f4"),
+}
+
+
+# (the header written in place of the saved one, what the CheckpointError says):
+# the first two are refused before the build, the others by Network.
+NAMED_HEADERS = {
+    "array-header": (lambda h: [h], "not an object with a params list"),
+    "params-not-a-list": (lambda h: {**h, "params": {"input.W_H": [6, 5]}},
+                          "not an object with a params list"),
+    "dict-body_kind": (lambda h: {**h, "body_kind": {"highway": 1}},
+                       r"make no \{'highway': 1\} network: unhashable"),
+    "no-activation": (lambda h: {k: v for k, v in h.items() if k != "activation"},
+                      "unknown activation kind: None"),
 }
 
 
@@ -253,6 +272,15 @@ class TestCorruption:
         save_checkpoint(make_net("highway"), path)
         rewrite_header(path, BAD_HEADERS[case])
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("case", sorted(NAMED_HEADERS))
+    def test_named_header(self, tmp_path, case):
+        make, match = NAMED_HEADERS[case]
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(make_net("highway"), path)
+        replace_header(path, make)
+        with pytest.raises(CheckpointError, match=match):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("spell", [

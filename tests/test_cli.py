@@ -180,6 +180,15 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == 2
         assert "notjson.cfg" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "search", "sweep"])
+    def test_config_without_a_dataset_section(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path / "c.json", out_dir=str(tmp_path / "run"), depths=[2])
+        cfg.write_text(json.dumps({k: v for k, v in json.loads(cfg.read_text()).items()
+                                   if k != "dataset"}))
+        assert main([command, "--config", str(cfg)]) == 2
+        assert "missing the 'dataset' section" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_missing_dataset_path(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json",
                            dataset={"name": "mnist", "dir": str(tmp_path / "absent")},

@@ -443,6 +443,15 @@ class TestSubsetAndBatches:
         with pytest.raises(ValueError):
             subset(ds, 11, Rng(0))
 
+    @pytest.mark.parametrize("n", [-3, True, 2.0], ids=["negative", "bool", "float"])
+    def test_subset_count_must_be_an_integer_from_zero(self, n):
+        """A negative n would take count + n rows, and True one."""
+        with pytest.raises(ValueError, match="n must be an integer >= 0"):
+            subset(synthetic_digits(40, seed=1), n, Rng(9))
+
+    def test_empty_subset(self):
+        assert subset(synthetic_digits(40, seed=1), 0, Rng(9)).count == 0
+
     def test_subset_deterministic(self):
         ds = synthetic_digits(40, seed=3)
         a = subset(ds, 15, Rng(9))
@@ -456,6 +465,10 @@ class TestSubsetAndBatches:
         sub = subset(ds, 15, Rng(9))
         assert np.array_equal(sub.stored, ds.stored[idx])
         assert np.array_equal(sub.labels, ds.labels[idx])
+
+    def test_batch_size_below_one_refused(self):
+        with pytest.raises(ValueError, match="batch_size must be >= 1, got 0"):
+            next(batches(synthetic_digits(10, seed=1), 0))
 
     def test_batches_partition_dataset(self):
         ds = synthetic_digits(53, seed=4)

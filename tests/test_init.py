@@ -22,6 +22,10 @@ class TestInitStd:
         for n in (10, 50, 128):
             assert init_std("glorot", n, n) == pytest.approx(math.sqrt(1.0 / n), abs=1e-15)
 
+    def test_unknown_kind_refused(self):
+        with pytest.raises(ValueError, match="unknown init kind: 'lecun'"):
+            init_std("lecun", 50, 50)
+
     def test_conv_kernel_fan_in(self):
         # fan_in = c * k^2 for a [c, c, k, k] kernel
         rng = Rng(0)
@@ -45,6 +49,11 @@ class TestInitWeights:
     def test_positive_dims_required(self):
         with pytest.raises(ValueError):
             init_weights((0, 5), "he", Rng(0))
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 4), (1, 2, 3, 3, 3)])
+    def test_only_a_matrix_or_a_conv_kernel(self, shape):
+        with pytest.raises(ValueError, match="expected a matrix or conv kernel shape"):
+            init_weights(shape, "he", Rng(0))
 
 
 class TestInitNetwork:

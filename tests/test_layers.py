@@ -100,6 +100,12 @@ class TestPlainLayer:
             proj = rng.normal(size=(6, 4))
             assert check_layer_gradients(layer, x, proj) < 1e-6
 
+    def test_upstream_gradient_of_another_shape_refused(self):
+        layer = random_plain(Rng(2))
+        _, cache = layer.forward(Rng(3).normal(size=(6, 3)))
+        with pytest.raises(ShapeError, match=r"upstream gradient \(6, 3\) does not match"):
+            layer.backward(cache, np.zeros((6, 3)))
+
 
 class TestHighwayForward:
     def test_hand_example(self):
@@ -571,6 +577,12 @@ class TestSoftmaxHead:
             head.forward_backward(np.zeros((1, 2)), np.array([3]))
         with pytest.raises(ValueError, match="label"):
             head.loss_probs(np.zeros((1, 2)), np.array([3]))
+
+    @pytest.mark.parametrize("labels", [[0, 1], [[0], [1], [2]]], ids=["short", "column"])
+    def test_labels_not_one_per_row_refused(self, labels):
+        head = SoftmaxHead(np.zeros((3, 2)), np.zeros(3))
+        with pytest.raises(ShapeError, match="do not match batch"):
+            head.loss_probs(np.zeros((3, 2)), np.array(labels))
 
     def test_loss_probs_equals_forward_backward(self):
         rng = Rng(31)

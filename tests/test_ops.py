@@ -25,6 +25,10 @@ class TestMatmul:
         out = matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[5.0], [6.0]]))
         assert np.array_equal(out, np.array([[17.0], [39.0]]))
 
+    def test_one_dimensional_operand_refused(self):
+        with pytest.raises(ShapeError, match=r"2-d operands, got \(3,\) and \(3, 2\)"):
+            matmul(np.zeros(3), np.zeros((3, 2)))
+
     def test_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 5\)"):
             matmul(np.zeros((2, 3)), np.zeros((4, 5)))
@@ -180,6 +184,10 @@ class TestActivations:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="softplus"):
             apply_activation(np.zeros(1), "softplus")
+
+    def test_unknown_derivative_kind(self):
+        with pytest.raises(ValueError, match="softplus"):
+            activation_derivative(np.zeros(1), "softplus")
 
     def test_relu_derivative_sign_cases(self):
         assert np.array_equal(activation_derivative(np.array([2.0, -2.0]), "relu"),

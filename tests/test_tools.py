@@ -1,6 +1,7 @@
 """tools/bench_pairs.py's summary: the pair counts, medians and quartiles a
-benchmark file reports for one metric, and the BLAS block it records.  No
-benchmark is run."""
+benchmark file reports for one metric, and the BLAS block it records; and
+tools/mutants.py's table, which must still match the sources.  No benchmark
+and no mutant is run."""
 
 import importlib.util
 import os
@@ -9,11 +10,17 @@ import pytest
 
 from highwaynet import ops
 
-TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools",
-                    "bench_pairs.py")
-_spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
-bench_pairs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_pairs)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(ROOT, "tools", f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs, mutants = load_tool("bench_pairs"), load_tool("mutants")
 
 # pair 0 ties, the change is lower in pair 1 and higher in pair 2
 PARENT, CHANGE = [1.0, 2.0, 3.0], [1.0, 1.5, 4.0]
@@ -44,3 +51,12 @@ def test_blas_reports_what_the_library_reports_in_process():
     """A fresh process on this tree's sources names the same build, core and
     thread count as ops.set_blas_threads(1) here (the test session runs at 1)."""
     assert bench_pairs.blas(bench_pairs.ROOT) == ops.set_blas_threads(1)
+
+
+@pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=[m.name for m in mutants.MUTANTS])
+def test_each_mutant_text_occurs_once_in_its_file(mutant):
+    """A table entry whose text moved or went would be refused only when the
+    tool runs; here tier-1 sees it."""
+    with open(os.path.join(ROOT, mutant.file), encoding="utf-8") as f:
+        assert f.read().count(mutant.old) == 1
+    assert mutant.new != mutant.old
